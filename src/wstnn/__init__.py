@@ -37,7 +37,6 @@ from .tensor_ops import (
 )
 from .tsvd import (
     TSvdFactors,
-    bcirc_oracle,
     conj_transpose,
     identity_tensor,
     multi_rank,

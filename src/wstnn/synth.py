@@ -33,6 +33,7 @@ from .solvers import (
     trpca_solve,
 )
 from .tensor_ops import frobenius_norm, mode_pairs, vectorize
+from .tsvd import NumericError
 
 __all__ = [
     "CpSpec",
@@ -225,8 +226,11 @@ def phase_sweep(
     """Success rate per (rank, level) cell over independent trials.
 
     ``task`` is "complete" (level = sampling rate) or "rpca" (level =
-    salt-pepper noise level). Solver errors count as failures. Returns a
-    list of row dicts with keys rank, level, trials, successes, rate.
+    salt-pepper noise level). A numeric breakdown in a trial
+    (:class:`NumericError` or ``numpy.linalg.LinAlgError``) is logged on
+    this module's logger and counts as an unsuccessful trial; any other
+    exception is a programming error and propagates. Returns a list of row
+    dicts with keys rank, level, trials, successes, rate.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
@@ -241,7 +245,7 @@ def phase_sweep(
                 try:
                     ok = run(shape, rank, level, seed, config_template,
                              grid.success_threshold)
-                except Exception:
+                except (NumericError, np.linalg.LinAlgError):
                     logger.exception(
                         "trial failed (rank=%s, level=%s, trial=%s)", rank, level, trial
                     )

@@ -7,9 +7,31 @@ operation here reduces to independent matrix operations on the Fourier
 frontal slices.
 
 DFT convention: unnormalized forward transform, 1/n_3 on the inverse.
-Results of inverse transforms are real-truncated; an imaginary residue
-above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug
-and raises :class:`NumericError` instead of being silently discarded.
+
+Half spectrum: the tubes of a real tensor have conjugate-symmetric
+spectra, so Fourier slice ``n3 - i`` is the complex conjugate of slice
+``i``. :func:`t_product`, :func:`t_svd` and :func:`fourier_singular_values`
+(hence :func:`tnn`, :func:`multi_rank` and :func:`tubal_rank`) take an
+``rfft`` along tubes and work on the first ``n3 // 2 + 1`` slices only.
+``fourier_singular_values`` still returns all ``n3`` rows: row ``i`` is a
+copy of row ``min(i, n3 - i)``, since conjugate slices share their
+singular values. The products and factors go back through ``irfft``,
+which implies the mirrored slices and returns real output.
+
+Imaginary-residue guard: ``irfft`` silently drops the imaginary part of
+the self-conjugate slices, DC and (for even ``n3``) Nyquist. Those two
+slices must be real for real output, so their imaginary part is the
+residue a full inverse DFT would show. A residue above
+``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
+raises :class:`NumericError` instead of being silently discarded. The
+same guard checks the whole complex output of the full inverse DFT in
+:func:`t_svt`.
+
+:func:`t_svt` still uses the full spectrum (:func:`dft_tubes` /
+:func:`idft_tubes`). It is the solvers' hot kernel, and its half-spectrum
+form waits on the benchmark: ``perfbench/run.py`` keeps every pass's
+outputs alive, so a faster solver runs more passes and reads as a higher
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -28,8 +50,6 @@ __all__ = [
     "identity_tensor",
     "conj_transpose",
     "t_product",
-    "bcirc",
-    "bcirc_oracle",
     "t_svd",
     "fourier_singular_values",
     "multi_rank",
@@ -104,90 +124,71 @@ def _slices_last(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, 0, 2)
 
 
+def _rfft_slices(x: np.ndarray) -> np.ndarray:
+    # (n1, n2, n3) real -> (n3 // 2 + 1, n1, n2) half-spectrum slice stack
+    return _slices_first(np.fft.rfft(x, axis=2))
+
+
+def _irfft_slices(stack: np.ndarray, n3: int, ref_norm: float) -> np.ndarray:
+    """Inverse of :func:`_rfft_slices`: the real (n1, n2, n3) tensor whose
+    half spectrum is ``stack``, after the residue guard on DC and Nyquist."""
+    edge = np.abs(stack[0].imag)
+    if n3 % 2 == 0:
+        edge = edge + np.abs(stack[-1].imag)
+    # what a full inverse DFT would leave in the imaginary part (1/n3 scaling)
+    resid = float(edge.max(initial=0.0)) / n3
+    if resid > IMAG_TOL * (1.0 + ref_norm):
+        raise NumericError(
+            f"imaginary residue {resid:.3e} exceeds tolerance after inverse DFT"
+        )
+    return np.ascontiguousarray(np.fft.irfft(_slices_last(stack), n=n3, axis=2))
+
+
 def t_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """t-product of x (n1 x n2 x n3) and y (n2 x n4 x n3)."""
     x, y = _require_3way(x), _require_3way(y)
     if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise ValueError(f"t-product dimension mismatch: {x.shape} * {y.shape}")
-    prod = _slices_first(dft_tubes(x)) @ _slices_first(dft_tubes(y))
-    return _real_part(
-        idft_tubes(_slices_last(prod)),
-        frobenius_norm(x) * frobenius_norm(y),
-    )
+    prod = _rfft_slices(x) @ _rfft_slices(y)
+    return _irfft_slices(prod, x.shape[2], frobenius_norm(x) * frobenius_norm(y))
 
 
-def bcirc(x: np.ndarray) -> np.ndarray:
-    """Literal block-circulant matrix (n1*n3) x (n2*n3) of a three-way tensor."""
-    x = _require_3way(x)
-    n1, n2, n3 = x.shape
-    out = np.empty((n1 * n3, n2 * n3))
-    for i in range(n3):
-        for j in range(n3):
-            out[i * n1 : (i + 1) * n1, j * n2 : (j + 1) * n2] = x[:, :, (i - j) % n3]
-    return out
-
-
-def bcirc_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reference t-product via explicit block-circulant multiplication.
-
-    Test oracle only: O(n3^2) storage, independent of the FFT path.
-    """
-    x, y = _require_3way(x), _require_3way(y)
-    if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
-        raise ValueError(f"t-product dimension mismatch: {x.shape} * {y.shape}")
-    n1, _, n3 = x.shape
-    n4 = y.shape[1]
-    bvec = np.concatenate([y[:, :, i] for i in range(n3)], axis=0)
-    flat = bcirc(x) @ bvec
-    out = np.empty((n1, n4, n3))
-    for i in range(n3):
-        out[:, :, i] = flat[i * n1 : (i + 1) * n1, :]
-    return out
-
-
-def _mirror_range(n3: int, exploit: bool) -> int:
-    # number of leading Fourier slices that must be computed explicitly
-    return (n3 + 2) // 2 if exploit else n3
-
-
-def t_svd(x: np.ndarray, exploit_symmetry: bool = False) -> TSvdFactors:
+def t_svd(x: np.ndarray) -> TSvdFactors:
     """Full t-SVD: x = u * s * conj_transpose(v).
 
-    Computes a full SVD of every Fourier frontal slice and transforms the
-    stacked factors back. With ``exploit_symmetry`` only the first
-    ceil((n3+1)/2) slices are decomposed and the rest filled by conjugate
-    mirroring (valid for real input).
+    Computes a full SVD of the first ``n3 // 2 + 1`` Fourier frontal
+    slices (the half spectrum of the real input) in one batch and
+    transforms the stacked factors back with ``irfft``, which fills the
+    remaining slices as conjugate mirrors. The DC and Nyquist factor
+    slices pass the imaginary-residue guard of the module docstring.
     """
     x = _require_3way(x)
     n1, n2, n3 = x.shape
-    xf = _slices_first(dft_tubes(x))
-    uf = np.empty((n3, n1, n1), dtype=complex)
-    sf = np.zeros((n3, n1, n2), dtype=complex)
-    vf = np.empty((n3, n2, n2), dtype=complex)
     try:
-        for i in range(_mirror_range(n3, exploit_symmetry)):
-            u, sig, vh = np.linalg.svd(xf[i], full_matrices=True)
-            uf[i] = u
-            sf[i, : sig.size, : sig.size] = np.diag(sig)
-            vf[i] = vh.conj().T
+        u, sig, vh = np.linalg.svd(_rfft_slices(x), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed on a Fourier slice: {exc}") from exc
-    if exploit_symmetry:
-        for i in range(_mirror_range(n3, True), n3):
-            uf[i] = uf[n3 - i].conj()
-            sf[i] = sf[n3 - i].conj()
-            vf[i] = vf[n3 - i].conj()
+    k = sig.shape[1]
+    sf = np.zeros((sig.shape[0], n1, n2))
+    sf[:, range(k), range(k)] = sig
     ref = frobenius_norm(x)
     return TSvdFactors(
-        u=_real_part(idft_tubes(_slices_last(uf)), ref),
-        s=_real_part(idft_tubes(_slices_last(sf)), ref),
-        v=_real_part(idft_tubes(_slices_last(vf)), ref),
+        u=_irfft_slices(u, n3, ref),
+        s=_irfft_slices(sf, n3, ref),
+        v=_irfft_slices(vh.conj().swapaxes(1, 2), n3, ref),
     )
 
 
 def fourier_singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values of every Fourier frontal slice, shape (n3, min(n1, n2))."""
-    return np.linalg.svd(_slices_first(dft_tubes(_require_3way(x))), compute_uv=False)
+    """Singular values of every Fourier frontal slice, shape (n3, min(n1, n2)).
+
+    Only the half spectrum is decomposed; row ``i`` is mirrored from row
+    ``min(i, n3 - i)``.
+    """
+    x = _require_3way(x)
+    half = np.linalg.svd(_rfft_slices(x), compute_uv=False)
+    i = np.arange(x.shape[2])
+    return half[np.minimum(i, x.shape[2] - i)]
 
 
 def multi_rank(x: np.ndarray, tol: float | None = None) -> np.ndarray:

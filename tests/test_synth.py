@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from wstnn import synth
 from wstnn.ntubal import estimate_n_tubal_rank
+from wstnn.tsvd import NumericError
 
 
 class TestCpSpec:
@@ -143,3 +146,28 @@ class TestPhaseSweep:
             synth.PhaseGrid(ranks=[])
         with pytest.raises(ValueError):
             synth.PhaseGrid(trials=0)
+
+    @staticmethod
+    def _raising_solver(exc):
+        def solve(*args, **kwargs):
+            raise exc
+
+        return solve
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(synth, "lrtc_solve", self._raising_solver(TypeError("bug")))
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=2)
+        with pytest.raises(TypeError, match="bug"):
+            synth.phase_sweep(grid, "complete", (5, 5, 5))
+
+    def test_numeric_error_is_logged_and_unsuccessful(self, monkeypatch, caplog):
+        monkeypatch.setattr(
+            synth, "lrtc_solve", self._raising_solver(NumericError("breakdown"))
+        )
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=2)
+        with caplog.at_level(logging.ERROR, logger="wstnn.synth"):
+            rows = synth.phase_sweep(grid, "complete", (5, 5, 5))
+        assert rows[0]["successes"] == 0 and rows[0]["rate"] == 0.0
+        logged = [r for r in caplog.records if r.name == "wstnn.synth"]
+        assert len(logged) == 2
+        assert all(isinstance(r.exc_info[1], NumericError) for r in logged)

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wstnn import tsvd
 from wstnn.tensor_ops import frobenius_norm
+
+# relative bound of the half-spectrum code against the full-FFT references
+REL = 1e-12
 
 
 def random_tensor(shape, seed=0):
@@ -100,14 +104,14 @@ class TestTProduct:
         x = rng.standard_normal(shape)
         y = rng.standard_normal((shape[1], n4, shape[2]))
         np.testing.assert_allclose(
-            tsvd.t_product(x, y), tsvd.bcirc_oracle(x, y), atol=1e-10
+            tsvd.t_product(x, y), oracles.bcirc_oracle(x, y), atol=1e-10
         )
 
 
 class TestBcirc:
     def test_layout_3_slices(self):
         x = random_tensor((2, 2, 3), 13)
-        b = tsvd.bcirc(x)
+        b = oracles.bcirc(x)
         assert b.shape == (6, 6)
         # first block column stacks the slices in order; circulant shifts right
         np.testing.assert_array_equal(b[0:2, 0:2], x[:, :, 0])
@@ -118,19 +122,23 @@ class TestBcirc:
 
 
 class TestTSvd:
-    @pytest.mark.parametrize("exploit", [False, True])
-    def test_contract_8x6x5(self, exploit):
+    # the contract is checked with the library's half-spectrum t-product and
+    # with the full-FFT reference, so a t_svd fault that t_product mirrors
+    # back cannot hide
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_contract_8x6x5(self, reference):
+        prod = oracles.full_t_product if reference else tsvd.t_product
         x = random_tensor((8, 6, 5), 14)
-        u, s, v = tsvd.t_svd(x, exploit_symmetry=exploit)
+        u, s, v = tsvd.t_svd(x)
         assert u.shape == (8, 8, 5)
         assert s.shape == (8, 6, 5)
         assert v.shape == (6, 6, 5)
-        recon = tsvd.t_product(tsvd.t_product(u, s), tsvd.conj_transpose(v))
+        recon = prod(prod(u, s), tsvd.conj_transpose(v))
         assert frobenius_norm(recon - x) <= 1e-10 * frobenius_norm(x)
         eye8 = tsvd.identity_tensor(8, 5)
         eye6 = tsvd.identity_tensor(6, 5)
-        assert frobenius_norm(tsvd.t_product(tsvd.conj_transpose(u), u) - eye8) < 1e-10
-        assert frobenius_norm(tsvd.t_product(tsvd.conj_transpose(v), v) - eye6) < 1e-10
+        assert frobenius_norm(prod(tsvd.conj_transpose(u), u) - eye8) < 1e-10
+        assert frobenius_norm(prod(tsvd.conj_transpose(v), v) - eye6) < 1e-10
 
     def test_f_diagonal_and_ordered(self):
         x = random_tensor((5, 4, 3), 15)
@@ -144,14 +152,70 @@ class TestTSvd:
             assert np.all(np.diff(diag) <= 1e-10)
             assert np.all(diag >= -1e-10)
 
-    def test_symmetry_paths_agree(self):
-        for n3 in (4, 5):
-            x = random_tensor((4, 3, n3), 16 + n3)
-            a = tsvd.t_svd(x, exploit_symmetry=False)
-            b = tsvd.t_svd(x, exploit_symmetry=True)
-            ra = tsvd.t_product(tsvd.t_product(a.u, a.s), tsvd.conj_transpose(a.v))
-            rb = tsvd.t_product(tsvd.t_product(b.u, b.s), tsvd.conj_transpose(b.v))
-            np.testing.assert_allclose(ra, rb, atol=1e-10)
+
+def assert_rel_close(actual, expected):
+    assert frobenius_norm(actual - expected) <= REL * frobenius_norm(expected)
+
+
+half_spectrum_cases = pytest.mark.parametrize("n3", [1, 2, 5, 6])
+extents = st.integers(1, 5)
+seeds = st.integers(0, 2**31)
+
+
+class TestHalfSpectrum:
+    """The rfft path agrees with the full-FFT references for n3 = 1, 2,
+    odd and even."""
+
+    @half_spectrum_cases
+    @settings(max_examples=25, deadline=None)
+    @given(n1=extents, n2=extents, seed=seeds)
+    def test_fourier_singular_values_match_full_fft(self, n3, n1, n2, seed):
+        x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+        sv = tsvd.fourier_singular_values(x)
+        assert sv.shape == (n3, min(n1, n2))
+        assert_rel_close(sv, oracles.full_fourier_singular_values(x))
+
+    @half_spectrum_cases
+    @settings(max_examples=25, deadline=None)
+    @given(n1=extents, n2=extents, n4=extents, seed=seeds)
+    def test_t_product_matches_full_fft(self, n3, n1, n2, n4, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n1, n2, n3))
+        y = rng.standard_normal((n2, n4, n3))
+        assert_rel_close(tsvd.t_product(x, y), oracles.full_t_product(x, y))
+
+    @half_spectrum_cases
+    @settings(max_examples=25, deadline=None)
+    @given(n1=extents, n2=extents, seed=seeds)
+    def test_t_svd_matches_full_fft(self, n3, n1, n2, seed):
+        # u and v are unique only up to slice-wise unitary freedom, so they
+        # are checked through the contract, with the reference t-product
+        x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+        u, s, v = tsvd.t_svd(x)
+        assert_rel_close(s, oracles.full_t_svd_s(x))
+        recon = oracles.full_t_product(oracles.full_t_product(u, s), tsvd.conj_transpose(v))
+        assert_rel_close(recon, x)
+        for f in (u, v):
+            eye = tsvd.identity_tensor(f.shape[0], n3)
+            assert_rel_close(oracles.full_t_product(tsvd.conj_transpose(f), f), eye)
+
+    @pytest.mark.parametrize(
+        "n3, where", [(5, 0), (6, 0), (6, -1)], ids=["dc-odd", "dc-even", "nyquist"]
+    )
+    def test_non_real_self_conjugate_slice_raises(self, monkeypatch, n3, where):
+        # a unit phase on one slice's singular vectors is still a valid SVD
+        # of that slice, but makes the DC or Nyquist factor slice non-real
+        svd = np.linalg.svd
+
+        def phased_svd(a, *args, **kwargs):
+            u, sig, vh = svd(a, *args, **kwargs)
+            u[where] *= 1j
+            vh[where] *= -1j
+            return u, sig, vh
+
+        monkeypatch.setattr(np.linalg, "svd", phased_svd)
+        with pytest.raises(tsvd.NumericError):
+            tsvd.t_svd(random_tensor((4, 3, n3), 26))
 
 
 class TestRanks:
