@@ -33,10 +33,10 @@ def main(argv=None):
     rows = phase_sweep(grid, "complete", shape, base_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "sr", "trials", "successes", "rate"])
+        writer.writerow(["rank", "sr", "trials", "successes", "errors", "rate"])
         for row in rows:
             writer.writerow([row["rank"], row["level"], row["trials"],
-                             row["successes"], row["rate"]])
+                             row["successes"], row["errors"], row["rate"]])
 
     print(f"wrote {len(rows)} cells to {args.out}")
     print("\nrank \\ sr " + "".join(f"{v:>7}" for v in grid.levels))

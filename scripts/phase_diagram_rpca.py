@@ -32,10 +32,10 @@ def main(argv=None):
     rows = phase_sweep(grid, "rpca", shape, base_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "nl", "trials", "successes", "rate"])
+        writer.writerow(["rank", "nl", "trials", "successes", "errors", "rate"])
         for row in rows:
             writer.writerow([row["rank"], row["level"], row["trials"],
-                             row["successes"], row["rate"]])
+                             row["successes"], row["errors"], row["rate"]])
 
     print(f"wrote {len(rows)} cells to {args.out}")
     print("\nrank \\ nl " + "".join(f"{v:>7}" for v in grid.levels))

@@ -178,10 +178,10 @@ def _cmd_sweep(args) -> int:
     rows = synth.phase_sweep(grid, args.task, shape, base_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "level", "trials", "successes", "rate"])
+        writer.writerow(["rank", "level", "trials", "successes", "errors", "rate"])
         for row in rows:
             writer.writerow([row["rank"], row["level"], row["trials"],
-                             row["successes"], row["rate"]])
+                             row["successes"], row["errors"], row["rate"]])
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 

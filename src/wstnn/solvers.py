@@ -136,9 +136,14 @@ def default_lambda(shape: tuple[int, ...], alpha: np.ndarray) -> float:
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
+    """||new - old|| / ||old||; a move away from a zero iterate is an
+    infinite relative change (an absolute norm would depend on the data
+    scale and could stop a solve after its first sweep)."""
     denom = frobenius_norm(old)
     diff = frobenius_norm(new - old)
-    return diff / denom if denom > 0 else frobenius_norm(new)
+    if denom > 0:
+        return diff / denom
+    return float("inf") if diff > 0 else 0.0
 
 
 def lrtc_solve(

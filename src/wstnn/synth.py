@@ -18,9 +18,12 @@ sweep output is deterministic regardless of execution order.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
 from dataclasses import dataclass, field
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -216,6 +219,31 @@ def _run_rpca_trial(shape, rank, nl, seed, cfg_template, threshold) -> bool:
     return rse(low, truth) < threshold
 
 
+def _run_trial(task, shape, rank, level, seed, cfg_template, threshold) -> bool:
+    # looks the trial function up when it runs, in the worker, so a
+    # replacement installed before the pool forked is the one called
+    run = _run_completion_trial if task == "complete" else _run_rpca_trial
+    return run(shape, rank, level, seed, cfg_template, threshold)
+
+
+def _openblas_function(name: str):
+    """``name`` (e.g. "set_num_threads") from the OpenBLAS bundled with
+    numpy, under the first of its known export names, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def phase_sweep(
     grid: PhaseGrid,
     task: str,
@@ -226,39 +254,82 @@ def phase_sweep(
     """Success rate per (rank, level) cell over independent trials.
 
     ``task`` is "complete" (level = sampling rate) or "rpca" (level =
-    salt-pepper noise level). A numeric breakdown in a trial
+    salt-pepper noise level). Returns a list of row dicts with keys rank,
+    level, trials, successes, errors, rate, one per cell in grid order
+    (ranks outer, levels inner).
+
+    Every (cell, trial) runs in a ``concurrent.futures.ProcessPoolExecutor``
+    whose workers are forked from the calling process (the ``fork`` start
+    method, so POSIX only), so they see the module state of the moment the
+    sweep starts. Forking copies only the calling thread, so no other
+    thread of the caller should hold a lock the trials need at that moment.
+    The pool has one worker per CPU in the process's affinity mask, at most
+    one per trial. Each worker pins the BLAS bundled with numpy to one
+    thread, through the ``set_num_threads`` export of its OpenBLAS: two
+    workers with a multi-threaded BLAS each oversubscribe the cores and run
+    slower than one serial loop. Without such an export the pool has one
+    worker.
+
+    The rows do not depend on the worker count or on the order in which
+    trials finish: each trial draws from its own seed, derived from
+    (base seed, cell index, trial index), and the results are collected
+    in submission order. A numeric breakdown in a trial
     (:class:`NumericError` or ``numpy.linalg.LinAlgError``) is logged on
-    this module's logger and counts as an unsuccessful trial; any other
-    exception is a programming error and propagates. Returns a list of row
-    dicts with keys rank, level, trials, successes, rate.
+    this module's logger, in the calling process and in trial order, and
+    counts as an unsuccessful trial and in the cell's ``errors``. Any other
+    exception is a programming error: the pending trials are cancelled and
+    the exception propagates.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
-    run = _run_completion_trial if task == "complete" else _run_rpca_trial
-    rows = []
-    cell = 0
-    for rank in grid.ranks:
-        for level in grid.levels:
-            successes = 0
-            for trial in range(grid.trials):
-                seed = _trial_seed(base_seed, cell, trial)
+    # imported here: every process that imports wstnn would pay their memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cells = [(rank, level) for rank in grid.ranks for level in grid.levels]
+    set_threads = _openblas_function("set_num_threads")
+    workers = 1
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        workers = min(_cpu_count(), len(cells) * grid.trials)
+    successes = [0] * len(cells)
+    errors = [0] * len(cells)
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=set_threads,
+        initargs=(1,),
+    ) as pool:
+        try:
+            futures = [
+                (cell, trial, pool.submit(
+                    _run_trial, task, shape, rank, level,
+                    _trial_seed(base_seed, cell, trial), config_template,
+                    grid.success_threshold,
+                ))
+                for cell, (rank, level) in enumerate(cells)
+                for trial in range(grid.trials)
+            ]
+            for cell, trial, future in futures:
                 try:
-                    ok = run(shape, rank, level, seed, config_template,
-                             grid.success_threshold)
+                    successes[cell] += bool(future.result())
                 except (NumericError, np.linalg.LinAlgError):
+                    rank, level = cells[cell]
                     logger.exception(
                         "trial failed (rank=%s, level=%s, trial=%s)", rank, level, trial
                     )
-                    ok = False
-                successes += bool(ok)
-            rows.append(
-                {
-                    "rank": rank,
-                    "level": level,
-                    "trials": grid.trials,
-                    "successes": successes,
-                    "rate": successes / grid.trials,
-                }
-            )
-            cell += 1
-    return rows
+                    errors[cell] += 1
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [
+        {
+            "rank": rank,
+            "level": level,
+            "trials": grid.trials,
+            "successes": successes[cell],
+            "errors": errors[cell],
+            "rate": successes[cell] / grid.trials,
+        }
+        for cell, (rank, level) in enumerate(cells)
+    ]

@@ -1,12 +1,17 @@
-"""Reference implementations the t-SVD tests compare against.
+"""Reference implementations the tests compare against.
 
 The block-circulant oracle computes the t-product without any FFT. The
 full-FFT references transform every tube with ``np.fft.fft`` and work on
 all n3 Fourier slices, the textbook form of the half-spectrum code in
-``wstnn.tsvd``.
+``wstnn.tsvd``. The serial phase sweep runs every trial in turn in the
+calling process, the reference for the worker pool of
+``wstnn.synth.phase_sweep``.
 """
 
 import numpy as np
+
+from wstnn import synth
+from wstnn.tsvd import NumericError
 
 
 def bcirc(x: np.ndarray) -> np.ndarray:
@@ -62,3 +67,37 @@ def full_t_svd_s(x: np.ndarray) -> np.ndarray:
     sf = np.zeros((n3, n1, n2))
     sf[:, range(k), range(k)] = sv
     return _real_inverse(sf)
+
+
+def phase_sweep_serial(grid, task, shape, base_seed=0, config_template=None):
+    """``synth.phase_sweep`` as one loop over cells and trials, with the
+    same trial functions and per-trial seeds."""
+    if task not in ("complete", "rpca"):
+        raise ValueError(f"unknown task {task!r}")
+    run = synth._run_completion_trial if task == "complete" else synth._run_rpca_trial
+    rows = []
+    cell = 0
+    for rank in grid.ranks:
+        for level in grid.levels:
+            successes = errors = 0
+            for trial in range(grid.trials):
+                seed = synth._trial_seed(base_seed, cell, trial)
+                try:
+                    ok = run(shape, rank, level, seed, config_template,
+                             grid.success_threshold)
+                except (NumericError, np.linalg.LinAlgError):
+                    ok = False
+                    errors += 1
+                successes += bool(ok)
+            rows.append(
+                {
+                    "rank": rank,
+                    "level": level,
+                    "trials": grid.trials,
+                    "successes": successes,
+                    "errors": errors,
+                    "rate": successes / grid.trials,
+                }
+            )
+            cell += 1
+    return rows

@@ -147,7 +147,7 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         with open(out1) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["rank", "level", "trials", "successes", "rate"]
+        assert rows[0] == ["rank", "level", "trials", "successes", "errors", "rate"]
 
     def test_tsvd_factors_reconstruct(self, tmp_path):
         from wstnn.tsvd import conj_transpose, t_product

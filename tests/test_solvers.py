@@ -157,6 +157,26 @@ class TestTrpca:
         assert rse(low, truth) < 1e-3
         assert report.constraint_residual < 1e-6 * frobenius_norm(noisy)
 
+    def test_stopping_is_scale_invariant(self):
+        # the first sweep moves away from a zero iterate; its relative
+        # change must not read as an absolute norm, which at data scale
+        # 1e-6 fell below rel_tol and stopped the solve after one sweep
+        from wstnn.synth import add_salt_pepper
+
+        truth = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=0))
+        noisy = add_salt_pepper(truth, 0.05, seed=1)
+        lam = solvers.default_lambda(truth.shape, weights_uniform(3))
+        runs = []
+        for scale in (1.0, 1e-6):
+            cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=scale, lam=lam)
+            low, _, report = solvers.trpca_solve(scale * noisy, cfg)
+            assert report.rel_change_trace[0] == np.inf
+            runs.append((report.iterations, rse(low, scale * truth)))
+        (iters, err), (iters_small, err_small) = runs
+        assert iters_small == iters > 1
+        assert err_small == pytest.approx(err, rel=1e-9)
+        assert err < 0.1
+
     def test_nonfinite_rejected(self):
         cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=10.0, lam=0.1)
         x = np.zeros((3, 3, 3))

@@ -1,10 +1,13 @@
+import ctypes
 import logging
+import time
 
 import numpy as np
 import pytest
 
-from wstnn import synth
-from wstnn.ntubal import estimate_n_tubal_rank
+from oracles import phase_sweep_serial
+from wstnn import solvers, synth
+from wstnn.ntubal import estimate_n_tubal_rank, weights_uniform
 from wstnn.tsvd import NumericError
 
 
@@ -171,3 +174,74 @@ class TestPhaseSweep:
         logged = [r for r in caplog.records if r.name == "wstnn.synth"]
         assert len(logged) == 2
         assert all(isinstance(r.exc_info[1], NumericError) for r in logged)
+
+    def test_programming_error_cancels_pending_trials(self, monkeypatch, tmp_path):
+        # the first trial raises at once, every other one takes 50 ms and
+        # leaves a file behind; 40 trials on two workers would take a
+        # second to run out
+        def trial(shape, rank, level, seed, cfg, threshold):
+            _, index = seed.spawn_key
+            if index == 0:
+                raise TypeError("bug")
+            time.sleep(0.05)
+            (tmp_path / f"{index}").touch()
+            return True
+
+        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=40)
+        with pytest.raises(TypeError, match="bug"):
+            synth.phase_sweep(grid, "complete", (5, 5, 5))
+        assert len(list(tmp_path.iterdir())) < 10
+
+    # 10^3 instances with mixed outcomes: completion at tau 3, robust PCA
+    # at its defaults; the repeated grid runs one (rank, level) cell twice
+    @pytest.mark.parametrize("base_seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "task, ranks, levels",
+        [
+            ("complete", [1, 3], [0.3, 0.7]),
+            ("complete", [1, 1], [0.7, 0.7]),
+            ("rpca", [1, 2], [0.05, 0.3]),
+        ],
+    )
+    def test_matches_serial_reference(self, task, ranks, levels, base_seed):
+        grid = synth.PhaseGrid(ranks=ranks, levels=levels, trials=2)
+        cfg = None
+        if task == "complete":
+            cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=3.0)
+        args = (grid, task, (10, 10, 10), base_seed, cfg)
+        assert synth.phase_sweep(*args) == phase_sweep_serial(*args)
+
+    def test_errors_match_serial_reference(self, monkeypatch, caplog):
+        # each trial's seed picks its outcome: a numeric breakdown of
+        # either kind, a success, or a failure
+        def trial(shape, rank, level, seed, cfg, threshold):
+            outcome = seed.generate_state(1)[0] % 4
+            if outcome == 0:
+                raise NumericError("breakdown")
+            if outcome == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return outcome == 2
+
+        monkeypatch.setattr(synth, "_run_rpca_trial", trial)
+        grid = synth.PhaseGrid(ranks=[1, 2, 2], levels=[0.1, 0.2], trials=5)
+        with caplog.at_level(logging.ERROR, logger="wstnn.synth"):
+            rows = synth.phase_sweep(grid, "rpca", (5, 5, 5), base_seed=4)
+        assert rows == phase_sweep_serial(grid, "rpca", (5, 5, 5), base_seed=4)
+        errors = sum(row["errors"] for row in rows)
+        assert 0 < errors < 30 and any(row["successes"] for row in rows)
+        assert len([r for r in caplog.records if r.name == "wstnn.synth"]) == errors
+
+    def test_workers_run_single_threaded_blas(self, monkeypatch):
+        get_threads = synth._openblas_function("get_num_threads")
+        if get_threads is None or synth._openblas_function("set_num_threads") is None:
+            pytest.skip("no OpenBLAS thread controls found in numpy's bundled libraries")
+        get_threads.restype = ctypes.c_int
+
+        def trial(shape, rank, level, seed, cfg, threshold):
+            return get_threads() == 1
+
+        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=4)
+        rows = synth.phase_sweep(grid, "complete", (5, 5, 5))
+        assert rows[0]["successes"] == 4
