@@ -27,7 +27,6 @@ from .synth import CpSpec, PhaseGrid, add_salt_pepper, gen_cp_tensor, phase_swee
 from .tensor_io import psnr, read_tensor, write_tensor
 from .tensor_ops import (
     frobenius_norm,
-    l1_norm,
     mode_k1k2_fold,
     mode_k1k2_unfold,
     mode_k_fold,

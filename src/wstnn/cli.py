@@ -40,17 +40,14 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
-def _parse_tau(text: str, n_pairs: int) -> np.ndarray:
-    parts = text.split(",")
+def _parse_tau(text: str) -> float | np.ndarray:
+    """A scalar or a comma-separated vector; the solver config checks
+    that a vector has one value per mode pair."""
     try:
-        values = [float(tok) for tok in parts]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise CliError(f"invalid tau {text!r}")
-    if len(values) == 1:
-        values = values * n_pairs
-    if len(values) != n_pairs:
-        raise CliError(f"tau needs 1 or {n_pairs} values, got {len(values)}")
-    return np.asarray(values)
+    return values[0] if len(values) == 1 else np.asarray(values)
 
 
 def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
@@ -75,6 +72,12 @@ def _write_report(path: str, report: SolveReport) -> None:
             writer.writerow([i, repr(rel)])
 
 
+def _stop_note(report: SolveReport) -> str:
+    if report.converged:
+        return ""
+    return "; stopped at --max-iter before the relative change reached --rel-tol"
+
+
 def _print_config(name: str, items: dict) -> None:
     print(f"[{name}] resolved configuration:")
     for key, value in items.items():
@@ -95,13 +98,12 @@ def _cmd_complete(args) -> int:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
         f = np.where(omega, f, 0.0)
     alpha = _resolve_weights(args, f)
-    tau = _parse_tau(args.tau, ntubal.pair_count(f.ndim))
-    cfg = LrtcConfig(alpha=alpha, tau=tau, gamma=args.gamma,
+    cfg = LrtcConfig(alpha=alpha, tau=_parse_tau(args.tau), gamma=args.gamma,
                      p_max=args.max_iter, rel_tol=args.rel_tol).validated(f.ndim)
     _print_config("complete", {
         "input": args.input, "shape": f.shape, "weights": args.weights,
         "alpha": cfg.alpha, "tau": cfg.tau, "gamma": cfg.gamma,
-        "beta_max": cfg.beta_max, "p_max": cfg.p_max, "rel_tol": cfg.rel_tol,
+        "p_max": cfg.p_max, "rel_tol": cfg.rel_tol,
         "sr": args.sr, "mask": args.mask, "seed": args.seed,
     })
     x, report = lrtc_solve(f, omega, cfg)
@@ -110,14 +112,13 @@ def _cmd_complete(args) -> int:
         _write_report(args.report, report)
     print(f"completed in {report.iterations} iterations "
           f"(final rel change {report.final_rel_change:.3e}, "
-          f"{report.wall_time:.2f} s)")
+          f"{report.wall_time:.2f} s){_stop_note(report)}")
     return 0
 
 
 def _cmd_rpca(args) -> int:
     x = tensor_io.read_tensor(args.input)
     alpha = _resolve_weights(args, x)
-    tau = _parse_tau(args.tau, ntubal.pair_count(x.ndim))
     if args.lam == "auto":
         lam = default_lambda(x.shape, alpha)
     else:
@@ -125,7 +126,7 @@ def _cmd_rpca(args) -> int:
             lam = float(args.lam)
         except ValueError:
             raise CliError(f"--lambda must be 'auto' or a number, got {args.lam!r}")
-    cfg = TrpcaConfig(alpha=alpha, tau=tau, lam=lam, gamma=args.gamma,
+    cfg = TrpcaConfig(alpha=alpha, tau=_parse_tau(args.tau), lam=lam, gamma=args.gamma,
                       p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.ndim)
     _print_config("rpca", {
         "input": args.input, "shape": x.shape, "weights": args.weights,
@@ -140,7 +141,7 @@ def _cmd_rpca(args) -> int:
     print(f"split in {report.iterations} iterations "
           f"(final rel change {report.final_rel_change:.3e}, "
           f"constraint residual {report.constraint_residual:.3e}, "
-          f"{report.wall_time:.2f} s)")
+          f"{report.wall_time:.2f} s){_stop_note(report)}")
     return 0
 
 

@@ -1,11 +1,15 @@
 """ADMM solvers for WSTNN-regularized completion and robust PCA.
 
-Both solvers split the WSTNN term into one auxiliary variable per mode
-pair, apply tensor singular value thresholding to each pair's unfolding,
-and recombine with a closed-form quadratic update. Penalty parameters
-grow geometrically each sweep, capped at a maximum; iteration stops when
-the relative change of successive primary iterates drops below
-``rel_tol`` or after ``p_max`` sweeps.
+Both solvers run one sweep core, ``_admm``. It keeps one auxiliary
+variable, one multiplier and one penalty per mode pair. Each sweep
+applies tensor singular value thresholding to every pair's unfolding of
+the current iterate, hands the penalty-weighted pair estimates to the
+solver's own ``combine`` step (completion re-imposes the observed
+entries; robust PCA adds its l1 block), then updates the pair
+multipliers and penalties. Penalties grow by ``gamma`` each sweep, capped
+at ``PENALTY_MAX``. Iteration stops when the relative change of
+successive primary iterates drops below ``rel_tol`` (the report reads
+``converged``) or after ``p_max`` sweeps.
 
 User-facing tuning is via the per-pair threshold vector tau; the penalty
 vector is derived as beta = alpha / tau, so the t-SVT threshold for each
@@ -15,7 +19,7 @@ pair starts at exactly tau. Pairs with zero weight are skipped entirely.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,16 +37,29 @@ __all__ = [
     "trpca_solve",
 ]
 
+#: cap on every ADMM penalty (the per-pair betas and the robust-PCA rho)
+PENALTY_MAX = 1e10
 
-def _as_tau(tau, n_pairs: int) -> np.ndarray:
-    tau = np.asarray(tau, dtype=np.float64)
+
+def _validated(cfg, ndim: int):
+    """Copy of ``cfg`` with checked weights and one tau value per mode pair
+    (a scalar tau is broadcast)."""
+    alpha = validate_weights(cfg.alpha, ndim)
+    if not (alpha > 0).any():
+        raise ValueError("at least one mode-pair weight must be positive")
+    n_pairs = pair_count(ndim)
+    tau = np.asarray(cfg.tau, dtype=np.float64)
     if tau.ndim == 0:
         tau = np.full(n_pairs, float(tau))
     if tau.shape != (n_pairs,):
         raise ValueError(f"tau must be a scalar or length-{n_pairs} vector")
     if (tau <= 0).any():
         raise ValueError("tau must be positive elementwise")
-    return tau
+    if cfg.gamma <= 1:
+        raise ValueError("gamma must exceed 1")
+    if cfg.p_max < 1:
+        raise ValueError("p_max must be at least 1")
+    return replace(cfg, alpha=alpha, tau=tau)
 
 
 @dataclass
@@ -52,58 +69,37 @@ class LrtcConfig:
     alpha: np.ndarray
     tau: np.ndarray | float
     gamma: float = 1.1
-    beta_max: float = 1e10
     p_max: int = 500
     rel_tol: float = 1e-4
 
     def validated(self, ndim: int) -> "LrtcConfig":
-        alpha = validate_weights(self.alpha, ndim)
-        if not (alpha > 0).any():
-            raise ValueError("at least one mode-pair weight must be positive")
-        tau = _as_tau(self.tau, pair_count(ndim))
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
-        if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
-        return LrtcConfig(alpha, tau, self.gamma, self.beta_max, self.p_max, self.rel_tol)
+        return _validated(self, ndim)
 
 
 @dataclass
 class TrpcaConfig:
     """Parameters for :func:`trpca_solve`.
 
-    ``rho`` defaults to 1 / mean(tau) when left unset; ``lam`` weights the
-    l1 term (see :func:`default_lambda` for the recommended value).
+    ``lam`` weights the l1 term (see :func:`default_lambda` for the
+    recommended value). The l1 block's penalty starts at :attr:`rho`.
     """
 
     alpha: np.ndarray
     tau: np.ndarray | float
     lam: float
-    rho: float | None = None
     gamma: float = 1.2
-    beta_max: float = 1e10
-    rho_max: float = 1e10
     p_max: int = 500
     rel_tol: float = 1e-4
 
+    @property
+    def rho(self) -> float:
+        """Initial l1-block penalty, 1 / mean(tau)."""
+        return 1.0 / float(np.mean(self.tau))
+
     def validated(self, ndim: int) -> "TrpcaConfig":
-        alpha = validate_weights(self.alpha, ndim)
-        if not (alpha > 0).any():
-            raise ValueError("at least one mode-pair weight must be positive")
-        tau = _as_tau(self.tau, pair_count(ndim))
-        rho = 1.0 / float(tau.mean()) if self.rho is None else float(self.rho)
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
-        if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
-        return TrpcaConfig(
-            alpha, tau, self.lam, rho, self.gamma,
-            self.beta_max, self.rho_max, self.p_max, self.rel_tol,
-        )
+        return _validated(self, ndim)
 
 
 @dataclass
@@ -113,6 +109,9 @@ class SolveReport:
     rel_change_trace: list[float] = field(default_factory=list)
     wall_time: float = 0.0
     constraint_residual: float | None = None
+    #: True when the relative change fell below rel_tol, False when the
+    #: solve ran out of p_max sweeps first
+    converged: bool = False
 
 
 def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:
@@ -146,6 +145,42 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return float("inf") if diff > 0 else 0.0
 
 
+def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, SolveReport]:
+    """Run ADMM sweeps from the primary iterate ``x0`` under a validated
+    config. ``combine(num, beta_sum)`` returns the next primary iterate
+    from num = sum_i (beta_i y_i - mult_i) over the active pairs i and
+    beta_sum = sum_i beta_i; ``start`` is the solve's start time."""
+    pairs = mode_pairs(x0.ndim)
+    active = [i for i, a in enumerate(cfg.alpha) if a > 0]
+    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
+    x = x0
+    y = {}
+    mult = {i: np.zeros_like(x) for i in active}
+
+    report = SolveReport()
+    for _ in range(cfg.p_max):
+        for i in active:
+            z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
+            y[i] = mode_k1k2_fold(
+                t_svt(z, cfg.alpha[i] / beta[i]), pairs[i], x.shape
+            )
+        beta_sum = sum(beta[i] for i in active)
+        x_new = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
+        rel = _rel_change(x_new, x)
+        for i in active:
+            mult[i] = mult[i] + beta[i] * (x_new - y[i])
+            beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
+        x = x_new
+        report.rel_change_trace.append(rel)
+        if rel < cfg.rel_tol:
+            report.converged = True
+            break
+    report.iterations = len(report.rel_change_trace)
+    report.final_rel_change = report.rel_change_trace[-1]
+    report.wall_time = time.perf_counter() - start
+    return x, report
+
+
 def lrtc_solve(
     f: np.ndarray, omega: np.ndarray, cfg: LrtcConfig
 ) -> tuple[np.ndarray, SolveReport]:
@@ -164,35 +199,12 @@ def lrtc_solve(
         raise ValueError("observed entries must be finite")
     cfg = cfg.validated(f.ndim)
 
-    pairs = mode_pairs(f.ndim)
-    active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
-    x = np.where(omega, f, 0.0)
-    y = {i: np.zeros_like(x) for i in active}
-    mult = {i: np.zeros_like(x) for i in active}
+    def combine(num, beta_sum):
+        x = num / beta_sum
+        x[omega] = f[omega]
+        return x
 
-    report = SolveReport()
-    for _ in range(cfg.p_max):
-        for i in active:
-            z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
-            y[i] = mode_k1k2_fold(
-                t_svt(z, cfg.alpha[i] / beta[i]), pairs[i], f.shape
-            )
-        beta_sum = sum(beta[i] for i in active)
-        x_new = sum(beta[i] * y[i] - mult[i] for i in active) / beta_sum
-        x_new[omega] = f[omega]
-        rel = _rel_change(x_new, x)
-        for i in active:
-            mult[i] = mult[i] + beta[i] * (x_new - y[i])
-            beta[i] = min(cfg.gamma * beta[i], cfg.beta_max)
-        x = x_new
-        report.rel_change_trace.append(rel)
-        if rel < cfg.rel_tol:
-            break
-    report.iterations = len(report.rel_change_trace)
-    report.final_rel_change = report.rel_change_trace[-1]
-    report.wall_time = time.perf_counter() - start
-    return x, report
+    return _admm(np.where(omega, f, 0.0), cfg, combine, start)
 
 
 def trpca_solve(
@@ -208,42 +220,18 @@ def trpca_solve(
     if not np.isfinite(x).all():
         raise ValueError("input tensor must be finite")
     cfg = cfg.validated(x.ndim)
-
-    pairs = mode_pairs(x.ndim)
-    active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
     rho = cfg.rho
-    low = np.zeros_like(x)
     sparse = np.zeros_like(x)
     mult = np.zeros_like(x)
-    z = {i: np.zeros_like(x) for i in active}
-    p_mult = {i: np.zeros_like(x) for i in active}
 
-    report = SolveReport()
-    for _ in range(cfg.p_max):
-        for i in active:
-            w = mode_k1k2_unfold(low + p_mult[i] / beta[i], pairs[i])
-            z[i] = mode_k1k2_fold(
-                t_svt(w, cfg.alpha[i] / beta[i]), pairs[i], x.shape
-            )
-        beta_sum = sum(beta[i] for i in active)
-        low_new = (
-            rho * (x - sparse) + mult
-            + sum(beta[i] * z[i] - p_mult[i] for i in active)
-        ) / (rho + beta_sum)
-        sparse = soft_threshold(x - low_new + mult / rho, cfg.lam / rho)
-        rel = _rel_change(low_new, low)
-        for i in active:
-            p_mult[i] = p_mult[i] + beta[i] * (low_new - z[i])
-            beta[i] = min(cfg.gamma * beta[i], cfg.beta_max)
-        mult = mult + rho * (x - low_new - sparse)
-        rho = min(cfg.gamma * rho, cfg.rho_max)
-        low = low_new
-        report.rel_change_trace.append(rel)
-        if rel < cfg.rel_tol:
-            break
-    report.iterations = len(report.rel_change_trace)
-    report.final_rel_change = report.rel_change_trace[-1]
+    def combine(num, beta_sum):
+        nonlocal rho, sparse, mult
+        low = (rho * (x - sparse) + mult + num) / (rho + beta_sum)
+        sparse = soft_threshold(x - low + mult / rho, cfg.lam / rho)
+        mult = mult + rho * (x - low - sparse)
+        rho = min(cfg.gamma * rho, PENALTY_MAX)
+        return low
+
+    low, report = _admm(np.zeros_like(x), cfg, combine, start)
     report.constraint_residual = frobenius_norm(x - low - sparse)
-    report.wall_time = time.perf_counter() - start
     return low, sparse, report

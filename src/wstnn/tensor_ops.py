@@ -25,7 +25,6 @@ __all__ = [
     "mode_k1k2_unfold",
     "mode_k1k2_fold",
     "frobenius_norm",
-    "l1_norm",
 ]
 
 
@@ -106,7 +105,3 @@ def mode_k1k2_fold(
 
 def frobenius_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x).ravel()))
-
-
-def l1_norm(x: np.ndarray) -> float:
-    return float(np.abs(x).sum())

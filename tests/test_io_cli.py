@@ -175,6 +175,27 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_tau_length_checked_by_config(self, tmp_path, capsys):
+        inp = tmp_path / "x.ntb"
+        tensor_io.write_tensor(inp, np.ones((4, 4, 4)))
+        rc = cli.main([
+            "complete", "--input", str(inp), "--sr", "0.5", "--tau", "1,2",
+            "--out", str(tmp_path / "o.ntb"),
+        ])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_summary_says_when_max_iter_ran_out(self, tmp_path, capsys):
+        x = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=0))
+        inp = tmp_path / "x.ntb"
+        tensor_io.write_tensor(inp, x)
+        base = ["complete", "--input", str(inp), "--tau", "10",
+                "--out", str(tmp_path / "o.ntb")]
+        assert cli.main(base + ["--sr", "0.6", "--seed", "1", "--max-iter", "2"]) == 0
+        assert "stopped at --max-iter" in capsys.readouterr().out
+        assert cli.main(base + ["--sr", "1.0"]) == 0
+        assert "stopped at --max-iter" not in capsys.readouterr().out
+
     def test_complete_requires_mask_xor_sr(self, tmp_path, capsys):
         x = np.ones((5, 5, 5))
         inp = tmp_path / "x.ntb"

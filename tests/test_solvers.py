@@ -69,14 +69,42 @@ class TestConfigValidation:
         np.testing.assert_array_equal(cfg.tau, np.full(6, 7.0))
 
 
+# unit extents and n3 = 1
+DEGENERATE_SHAPES = [(1, 1, 1), (1, 5, 4), (5, 5, 1), (3, 1, 4, 2)]
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
 class TestLrtc:
-    def test_fully_observed_returns_input(self):
-        x = gen_cp_tensor(CpSpec((10, 10, 10), 2, seed=0))
+    @pytest.mark.parametrize("shape", [(10, 10, 10)] + DEGENERATE_SHAPES, ids=_shape_id)
+    def test_fully_observed_returns_input(self, shape):
+        x = np.random.default_rng(0).standard_normal(shape)
         omega = np.ones_like(x, dtype=bool)
-        cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0)
+        cfg = solvers.LrtcConfig(alpha=weights_uniform(len(shape)), tau=10.0)
         xhat, report = solvers.lrtc_solve(x, omega, cfg)
         np.testing.assert_array_equal(xhat, x)
         assert report.iterations == 1
+        assert report.converged
+
+    def test_empty_mask_returns_zeros(self):
+        f = np.random.default_rng(1).standard_normal((5, 4, 3))
+        omega = np.zeros_like(f, dtype=bool)
+        cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0)
+        xhat, report = solvers.lrtc_solve(f, omega, cfg)
+        np.testing.assert_array_equal(xhat, 0.0)
+        assert report.iterations == 1
+        assert report.converged
+
+    def test_max_iter_reports_not_converged(self):
+        x = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=0))
+        omega = sample_mask(x.shape, 0.6, seed=1)
+        cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0, p_max=2)
+        _, report = solvers.lrtc_solve(np.where(omega, x, 0.0), omega, cfg)
+        assert report.converged is False
+        assert report.iterations == 2
+        assert report.final_rel_change >= cfg.rel_tol
 
     def test_observed_entries_preserved(self):
         x = gen_cp_tensor(CpSpec((12, 12, 12), 2, seed=1))
@@ -101,6 +129,7 @@ class TestLrtc:
         assert len(report.rel_change_trace) == report.iterations
         assert report.final_rel_change == report.rel_change_trace[-1]
         assert report.final_rel_change < cfg.rel_tol
+        assert report.converged
         assert report.wall_time > 0
 
     def test_zero_weight_pair_skipped(self):
@@ -124,12 +153,14 @@ class TestLrtc:
 
 
 class TestTrpca:
-    def test_zero_input(self):
-        cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=10.0, lam=0.1)
-        low, sparse, report = solvers.trpca_solve(np.zeros((8, 8, 8)), cfg)
+    @pytest.mark.parametrize("shape", [(8, 8, 8)] + DEGENERATE_SHAPES, ids=_shape_id)
+    def test_zero_input(self, shape):
+        cfg = solvers.TrpcaConfig(alpha=weights_uniform(len(shape)), tau=10.0, lam=0.1)
+        low, sparse, report = solvers.trpca_solve(np.zeros(shape), cfg)
         np.testing.assert_array_equal(low, 0.0)
         np.testing.assert_array_equal(sparse, 0.0)
         assert report.iterations == 1
+        assert report.converged
 
     def test_sparse_only_input(self):
         # a handful of spikes and no low-rank part: low component goes to ~0

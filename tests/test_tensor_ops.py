@@ -166,6 +166,3 @@ class TestNorms:
     def test_frobenius_3_4_5(self):
         x = np.array([3.0, 4.0]).reshape(1, 1, 2)
         assert top.frobenius_norm(x) == pytest.approx(5.0)
-
-    def test_l1_constant(self):
-        assert top.l1_norm(np.full((2, 2, 2), -2.0)) == 16.0
