@@ -33,11 +33,16 @@ def main(argv=None):
     cfg = LrtcConfig(alpha=weights_uniform(len(shape)), tau=args.tau)
     xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
 
-    lo = min(report.rel_change_trace)
-    for i, rel in enumerate(report.rel_change_trace, start=1):
-        bar = "#" * max(1, int(50 * np.log(rel / lo + 1e-300) /
-                                np.log(report.rel_change_trace[0] / lo + 1e-300)))
-        print(f"{i:>4} {rel:.3e} {bar}")
+    trace = report.rel_change_trace
+    lo, first = min(trace), trace[0]
+    for i, rel in enumerate(trace, start=1):
+        # log scale from the smallest change (one mark) to the first (50
+        # marks); a trace with no such span (one sweep, a zero or an
+        # infinite change) gets one mark per line
+        width = 1
+        if 0 < lo < first < np.inf:
+            width = max(1, int(50 * np.log(rel / lo) / np.log(first / lo)))
+        print(f"{i:>4} {rel:.3e} {'#' * width}")
     print(f"\nstopped after {report.iterations} iterations "
           f"({report.wall_time:.2f} s), RSE = {rse(xhat, truth):.3e}")
     return 0

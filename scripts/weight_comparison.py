@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare weight strategies for four-way completion.
+"""Compare weight strategies for N-way completion (four-way by default).
 
-Runs the same partially observed four-way instances through three weight
-choices over the six mode pairs: uniform, rank-aware, and a one-pair
-baseline (all mass on pair (1,2), i.e. a plain three-way TNN model on
-the reshaped tensor). Reports per-trial RSE and success counts.
+Runs the same partially observed instances through three weight choices
+over the mode pairs: uniform, rank-aware, and a one-pair baseline (all
+mass on pair (1,2), i.e. a plain three-way TNN model on the reshaped
+tensor). Reports per-trial RSE and success counts.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from wstnn.ntubal import estimate_n_tubal_rank, weights_rank_aware, weights_uniform
+from wstnn.ntubal import estimate_n_tubal_rank, pair_count, weights_rank_aware, weights_uniform
 from wstnn.solvers import LrtcConfig, lrtc_solve
 from wstnn.synth import CpSpec, gen_cp_tensor, rse, sample_mask
 
@@ -28,7 +28,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     shape = tuple(int(n) for n in args.shape.split(","))
-    one_hot = np.zeros(6)
+    one_hot = np.zeros(pair_count(len(shape)))
     one_hot[0] = 1.0
 
     successes = {"uniform": 0, "rank-aware": 0, "one-pair": 0}
@@ -41,7 +41,7 @@ def main(argv=None):
         f = np.where(mask, truth, 0.0)
         observed_rank = estimate_n_tubal_rank(np.where(mask, truth, 0.0))
         strategies = {
-            "uniform": weights_uniform(4),
+            "uniform": weights_uniform(len(shape)),
             "rank-aware": weights_rank_aware(shape, observed_rank),
             "one-pair": one_hot,
         }

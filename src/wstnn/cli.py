@@ -178,12 +178,16 @@ def _cmd_sweep(args) -> int:
     })
     rows = synth.phase_sweep(grid, args.task, shape, base_seed=args.seed)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "level", "trials", "successes", "errors", "rate"])
-        for row in rows:
-            writer.writerow([row["rank"], row["level"], row["trials"],
-                             row["successes"], row["errors"], row["rate"]])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} cells to {args.out}")
+    # rows come in grid order: ranks outer, levels inner
+    n = len(grid.levels)
+    print("\nrank \\ level " + "".join(f"{v:>7}" for v in grid.levels))
+    for i, rank in enumerate(grid.ranks):
+        rates = [row["rate"] for row in rows[i * n:(i + 1) * n]]
+        print(f"{rank:>12} " + "".join(f"{v:>7.2f}" for v in rates))
     return 0
 
 
@@ -200,7 +204,9 @@ def _cmd_tsvd(args) -> int:
     return 0
 
 
-def _add_weight_args(parser) -> None:
+def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> None:
+    """Weight, threshold and stopping options; the solver defaults are
+    those of ``config``."""
     parser.add_argument("--weights", default="uniform",
                         choices=["uniform", "rank-aware", "spectral"],
                         help="weight strategy over mode pairs")
@@ -213,8 +219,9 @@ def _add_weight_args(parser) -> None:
     parser.add_argument("--tau", default="100",
                         help="per-pair threshold: a scalar broadcast to all pairs "
                              "or a comma-separated vector")
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--rel-tol", type=float, default=1e-4)
+    parser.add_argument("--gamma", type=float, default=config.gamma)
+    parser.add_argument("--max-iter", type=int, default=config.p_max)
+    parser.add_argument("--rel-tol", type=float, default=config.rel_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output tensor file")
     p.add_argument("--report", help="per-iteration relative-change CSV")
-    p.add_argument("--gamma", type=float, default=1.1)
-    _add_weight_args(p)
+    _add_solver_args(p, LrtcConfig)
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("rpca", help="robust tensor PCA (low rank + sparse)")
@@ -243,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-low", required=True)
     p.add_argument("--out-sparse", required=True)
     p.add_argument("--report", help="per-iteration relative-change CSV")
-    p.add_argument("--gamma", type=float, default=1.2)
-    _add_weight_args(p)
+    _add_solver_args(p, TrpcaConfig)
     p.set_defaults(func=_cmd_rpca)
 
     p = sub.add_parser("rank", help="print N-tubal and Tucker-style ranks")

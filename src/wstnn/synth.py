@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ntubal import pair_count
+from .ntubal import weights_uniform
 from .solvers import (
     LrtcConfig,
     TrpcaConfig,
@@ -171,30 +171,17 @@ class PhaseGrid:
             raise ValueError("trials must be at least 1")
 
 
-def default_completion_config(ndim: int, alpha=None, tau=None) -> LrtcConfig:
+def default_completion_config(ndim: int) -> LrtcConfig:
     """Reported synthetic-experiment settings: uniform weights; tau = 10
-    per pair for three-way data, 50 for four-way."""
-    from .ntubal import weights_uniform
-
-    if alpha is None:
-        alpha = weights_uniform(ndim)
-    if tau is None:
-        tau = 10.0 if ndim == 3 else 50.0
-    return LrtcConfig(alpha=np.asarray(alpha), tau=tau)
+    per pair for three-way data, 50 for higher orders."""
+    return LrtcConfig(alpha=weights_uniform(ndim), tau=10.0 if ndim == 3 else 50.0)
 
 
-def default_rpca_config(shape: tuple[int, ...], alpha=None, tau=None, lam=None) -> TrpcaConfig:
-    from .ntubal import weights_uniform
-
-    ndim = len(shape)
-    if alpha is None:
-        alpha = weights_uniform(ndim)
-    alpha = np.asarray(alpha)
-    if tau is None:
-        tau = 10.0 if ndim == 3 else 50.0
-    if lam is None:
-        lam = default_lambda(shape, alpha)
-    return TrpcaConfig(alpha=alpha, tau=tau, lam=lam)
+def default_rpca_config(shape: tuple[int, ...]) -> TrpcaConfig:
+    """The completion settings for ``len(shape)`` plus the size-based
+    :func:`default_lambda`."""
+    base = default_completion_config(len(shape))
+    return TrpcaConfig(alpha=base.alpha, tau=base.tau, lam=default_lambda(shape, base.alpha))
 
 
 def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence:

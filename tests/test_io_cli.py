@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from wstnn import cli, tensor_io
+from wstnn import cli, solvers, tensor_io
 from wstnn.synth import CpSpec, gen_cp_tensor
 
 
@@ -148,6 +149,34 @@ class TestCli:
         with open(out1) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["rank", "level", "trials", "successes", "errors", "rate"]
+
+    def test_sweep_prints_rate_table(self, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        assert cli.main([
+            "sweep", "--task", "complete", "--shape", "8,8,8", "--ranks", "1,2,1",
+            "--levels", "0.5,1.0", "--trials", "1", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        table = capsys.readouterr().out.split("rank \\ level")[1].splitlines()
+        assert table[0].split() == ["0.5", "1.0"]
+        # one line per grid rank, repeated ranks included, in grid order
+        assert [line.split() for line in table[1:]] == [
+            [r["rank"]] + [f"{float(c['rate']):.2f}" for c in rows[2 * i:2 * i + 2]]
+            for i, r in enumerate(rows[::2])
+        ]
+        assert table[1].split()[2] == "1.00"
+
+    @pytest.mark.parametrize("command, config", [
+        ("complete", solvers.LrtcConfig), ("rpca", solvers.TrpcaConfig),
+    ])
+    def test_solver_defaults_come_from_config(self, command, config):
+        required = {"complete": ["--out", "o"], "rpca": ["--out-low", "l", "--out-sparse", "s"]}
+        args = cli.build_parser().parse_args([command, "--input", "x"] + required[command])
+        defaults = {f.name: f.default for f in dataclasses.fields(config)}
+        assert (args.gamma, args.max_iter, args.rel_tol) == (
+            defaults["gamma"], defaults["p_max"], defaults["rel_tol"]
+        )
 
     def test_tsvd_factors_reconstruct(self, tmp_path):
         from wstnn.tsvd import conj_transpose, t_product

@@ -121,9 +121,14 @@ class TestLrtc:
         assert rse(xhat, x) < 1e-3
         assert report.iterations < cfg.p_max
 
-    def test_report_trace_matches_iterations(self):
-        x = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=5))
-        omega = sample_mask(x.shape, 0.5, seed=6)
+    # (SR, generation seed, mask seed): the first instance stalls after one
+    # sweep with a change of 0.0, the second runs 22 sweeps
+    @pytest.mark.parametrize(
+        "sr, gen_seed, mask_seed", [(0.5, 5, 6), (0.6, 0, 1)], ids=["stalled", "multi-sweep"]
+    )
+    def test_report_trace_matches_iterations(self, sr, gen_seed, mask_seed):
+        x = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=gen_seed))
+        omega = sample_mask(x.shape, sr, seed=mask_seed)
         cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0)
         _, report = solvers.lrtc_solve(np.where(omega, x, 0.0), omega, cfg)
         assert len(report.rel_change_trace) == report.iterations
