@@ -39,7 +39,7 @@ def main(argv=None):
         truth = gen_cp_tensor(CpSpec(shape, args.rank, gen_seed))
         mask = sample_mask(shape, args.sr, mask_seed)
         f = np.where(mask, truth, 0.0)
-        observed_rank = estimate_n_tubal_rank(np.where(mask, truth, 0.0))
+        observed_rank = estimate_n_tubal_rank(f)
         strategies = {
             "uniform": weights_uniform(len(shape)),
             "rank-aware": weights_rank_aware(shape, observed_rank),

@@ -38,7 +38,6 @@ from .tsvd import (
     TSvdFactors,
     conj_transpose,
     identity_tensor,
-    multi_rank,
     t_product,
     t_svd,
     t_svt,

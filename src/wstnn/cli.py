@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
 
 import numpy as np
@@ -64,18 +65,20 @@ def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
     raise CliError(f"unknown weight strategy {args.weights!r}")
 
 
-def _write_report(path: str, report: SolveReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "rel_change"])
-        for i, rel in enumerate(report.rel_change_trace, start=1):
-            writer.writerow([i, repr(rel)])
-
-
-def _stop_note(report: SolveReport) -> str:
-    if report.converged:
-        return ""
-    return "; stopped at --max-iter before the relative change reached --rel-tol"
+def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> int:
+    """Write the --report CSV, if asked for, and print the solve summary."""
+    if args.report:
+        with open(args.report, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "rel_change"])
+            for i, rel in enumerate(report.rel_change_trace, start=1):
+                writer.writerow([i, repr(rel)])
+    note = "" if report.converged else (
+        "; stopped at --max-iter before the relative change reached --rel-tol")
+    print(f"{verb} in {report.iterations} iterations "
+          f"(final rel change {report.final_rel_change:.3e}, {residual}"
+          f"{report.wall_time:.2f} s){note}")
+    return 0
 
 
 def _print_config(name: str, items: dict) -> None:
@@ -108,12 +111,7 @@ def _cmd_complete(args) -> int:
     })
     x, report = lrtc_solve(f, omega, cfg)
     tensor_io.write_tensor(args.out, x)
-    if args.report:
-        _write_report(args.report, report)
-    print(f"completed in {report.iterations} iterations "
-          f"(final rel change {report.final_rel_change:.3e}, "
-          f"{report.wall_time:.2f} s){_stop_note(report)}")
-    return 0
+    return _finish_solve(args, report, "completed")
 
 
 def _cmd_rpca(args) -> int:
@@ -136,13 +134,8 @@ def _cmd_rpca(args) -> int:
     low, sparse, report = trpca_solve(x, cfg)
     tensor_io.write_tensor(args.out_low, low)
     tensor_io.write_tensor(args.out_sparse, sparse)
-    if args.report:
-        _write_report(args.report, report)
-    print(f"split in {report.iterations} iterations "
-          f"(final rel change {report.final_rel_change:.3e}, "
-          f"constraint residual {report.constraint_residual:.3e}, "
-          f"{report.wall_time:.2f} s){_stop_note(report)}")
-    return 0
+    return _finish_solve(args, report, "split",
+                         f"constraint residual {report.constraint_residual:.3e}, ")
 
 
 def _cmd_rank(args) -> int:
@@ -204,18 +197,28 @@ def _cmd_tsvd(args) -> int:
     return 0
 
 
+def _default(fn, param: str):
+    return inspect.signature(fn).parameters[param].default
+
+
+def _add_threshold_arg(parser) -> None:
+    parser.add_argument("--threshold", type=float,
+                        default=_default(ntubal.estimate_n_tubal_rank, "rel_threshold"),
+                        help="relative singular-value threshold for rank estimation")
+
+
 def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> None:
     """Weight, threshold and stopping options; the solver defaults are
-    those of ``config``."""
+    those of ``config``, the rank-aware ones those of :mod:`wstnn.ntubal`."""
     parser.add_argument("--weights", default="uniform",
                         choices=["uniform", "rank-aware", "spectral"],
                         help="weight strategy over mode pairs")
-    parser.add_argument("--eta", type=float, default=1.0,
+    parser.add_argument("--eta", type=float,
+                        default=_default(ntubal.weights_rank_aware, "eta"),
                         help="balance parameter for rank-aware weights")
     parser.add_argument("--theta", type=float, default=0.001,
                         help="first-pair weight parameter for spectral weights")
-    parser.add_argument("--threshold", type=float, default=0.01,
-                        help="relative singular-value threshold for rank estimation")
+    _add_threshold_arg(parser)
     parser.add_argument("--tau", default="100",
                         help="per-pair threshold: a scalar broadcast to all pairs "
                              "or a comma-separated vector")
@@ -254,16 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="print N-tubal and Tucker-style ranks")
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=0.01)
+    _add_threshold_arg(p)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("sweep", help="synthetic phase-transition sweep")
     p.add_argument("--task", required=True, choices=["complete", "rpca"])
     p.add_argument("--shape", default="30,30,30")
-    p.add_argument("--ranks", default="1,2,5,10,20")
-    p.add_argument("--levels", default="0.05,0.2,0.5,0.8")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--success-threshold", type=float, default=1e-3)
+    grid = synth.PhaseGrid()
+    p.add_argument("--ranks", default=",".join(map(str, grid.ranks)))
+    p.add_argument("--levels", default=",".join(map(str, grid.levels)))
+    p.add_argument("--trials", type=int, default=grid.trials)
+    p.add_argument("--success-threshold", type=float, default=grid.success_threshold)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="success-rate CSV")
     p.set_defaults(func=_cmd_sweep)

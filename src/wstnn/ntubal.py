@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .tensor_ops import mode_k1k2_unfold, mode_pairs
-from .tsvd import fourier_singular_values, tnn
+from .tsvd import tnn, tubal_rank
 
 __all__ = [
     "pair_count",
@@ -49,23 +49,17 @@ def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndarray:
-    """Tubal rank of every mode-pair unfolding by singular-value thresholding.
-
-    A singular value counts as nonzero when it exceeds ``rel_threshold``
-    times the largest singular value across all Fourier slices of that
-    unfolding.
-    """
+    """N-tubal rank: the :func:`~wstnn.tsvd.tubal_rank` of every mode-pair
+    unfolding, at relative threshold ``rel_threshold``."""
     x = np.asarray(x)
     if x.ndim < 3:
         raise ValueError("N-tubal rank requires an order >= 3 tensor")
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
-    ranks = []
-    for pair in mode_pairs(x.ndim):
-        sv = fourier_singular_values(mode_k1k2_unfold(x, pair))
-        cutoff = rel_threshold * float(sv.max(initial=0.0))
-        ranks.append(int((sv > cutoff).sum(axis=1).max(initial=0)))
-    return np.array(ranks, dtype=np.int64)
+    return np.array(
+        [tubal_rank(mode_k1k2_unfold(x, p), rel_threshold) for p in mode_pairs(x.ndim)],
+        dtype=np.int64,
+    )
 
 
 def wstnn(x: np.ndarray, alpha: np.ndarray) -> float:

@@ -104,14 +104,21 @@ class TrpcaConfig:
 
 @dataclass
 class SolveReport:
-    iterations: int = 0
-    final_rel_change: float = float("nan")
     rel_change_trace: list[float] = field(default_factory=list)
     wall_time: float = 0.0
     constraint_residual: float | None = None
     #: True when the relative change fell below rel_tol, False when the
     #: solve ran out of p_max sweeps first
     converged: bool = False
+
+    # the sweep count and the last change, read from the trace
+    @property
+    def iterations(self) -> int:
+        return len(self.rel_change_trace)
+
+    @property
+    def final_rel_change(self) -> float:
+        return self.rel_change_trace[-1]
 
 
 def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:
@@ -175,8 +182,6 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
         if rel < cfg.rel_tol:
             report.converged = True
             break
-    report.iterations = len(report.rel_change_trace)
-    report.final_rel_change = report.rel_change_trace[-1]
     report.wall_time = time.perf_counter() - start
     return x, report
 

@@ -67,7 +67,8 @@ class CpSpec:
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
         if not 1 <= self.cp_rank <= min(self.shape):
-            raise ValueError("cp_rank must lie in [1, min extent]")
+            raise ValueError(f"cp_rank {self.cp_rank} must lie in [1, min extent] "
+                             f"for shape {self.shape}")
 
 
 def _factors_admissible(factors: list[np.ndarray], shape: tuple[int, ...], r: int) -> bool:
@@ -265,10 +266,13 @@ def phase_sweep(
     this module's logger, in the calling process and in trial order, and
     counts as an unsuccessful trial and in the cell's ``errors``. Any other
     exception is a programming error: the pending trials are cancelled and
-    the exception propagates.
+    the exception propagates. A grid rank that :class:`CpSpec` rejects for
+    ``shape`` raises ``ValueError`` before any trial runs.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
+    for rank in grid.ranks:
+        CpSpec(shape, rank)
     # imported here: every process that imports wstnn would pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -8,7 +8,9 @@ column-major (first index varies fastest), so ``vectorize`` is
     j = i_1 + sum_{s>=2} (i_s - 1) * n_1 * ... * n_{s-1}.
 
 Mode indices and mode pairs are 1-based throughout the public API.
-Unfoldings are explicit permutation copies, never views.
+Unfoldings and folds are reshaped permutations, views of the input where
+numpy can make one (every mode-pair unfolding and fold of a three-way
+tensor is): callers must not write into one, but copy it first.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ DFT convention: unnormalized forward transform, 1/n_3 on the inverse.
 Half spectrum: the tubes of a real tensor have conjugate-symmetric
 spectra, so Fourier slice ``n3 - i`` is the complex conjugate of slice
 ``i``. :func:`t_product`, :func:`t_svd` and :func:`fourier_singular_values`
-(hence :func:`tnn`, :func:`multi_rank` and :func:`tubal_rank`) take an
+(hence :func:`tnn` and :func:`tubal_rank`) take an
 ``rfft`` along tubes and work on the first ``n3 // 2 + 1`` slices only.
 ``fourier_singular_values`` still returns all ``n3`` rows: row ``i`` is a
 copy of row ``min(i, n3 - i)``, since conjugate slices share their
@@ -27,11 +27,8 @@ raises :class:`NumericError` instead of being silently discarded. The
 same guard checks the whole complex output of the full inverse DFT in
 :func:`t_svt`.
 
-:func:`t_svt` still uses the full spectrum (:func:`dft_tubes` /
-:func:`idft_tubes`). It is the solvers' hot kernel, and its half-spectrum
-form waits on the benchmark: ``perfbench/run.py`` keeps every pass's
-outputs alive, so a faster solver runs more passes and reads as a higher
-``peak_rss_mb``.
+:func:`t_svt`, the solvers' hot kernel, still transforms the full
+spectrum (:func:`dft_tubes` / :func:`idft_tubes`).
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "t_product",
     "t_svd",
     "fourier_singular_values",
-    "multi_rank",
     "tubal_rank",
     "tnn",
     "t_svt",
@@ -191,21 +187,16 @@ def fourier_singular_values(x: np.ndarray) -> np.ndarray:
     return half[np.minimum(i, x.shape[2] - i)]
 
 
-def multi_rank(x: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Per-Fourier-slice matrix ranks.
-
-    ``tol`` is an absolute singular-value threshold; by default
-    ``max(shape) * eps * sigma_max`` with sigma_max taken over all slices.
-    """
+def tubal_rank(x: np.ndarray, rel_threshold: float | None = None) -> int:
+    """Largest number of Fourier singular values of one frontal slice that
+    exceed ``rel_threshold`` times the largest singular value across all
+    slices; by default ``rel_threshold`` is ``max(shape) * eps``."""
     x = _require_3way(x)
     sv = fourier_singular_values(x)
-    if tol is None:
-        tol = max(x.shape) * np.finfo(np.float64).eps * float(sv.max(initial=0.0))
-    return (sv > tol).sum(axis=1)
-
-
-def tubal_rank(x: np.ndarray, tol: float | None = None) -> int:
-    return int(multi_rank(x, tol).max(initial=0))
+    if rel_threshold is None:
+        rel_threshold = max(x.shape) * np.finfo(np.float64).eps
+    cutoff = rel_threshold * float(sv.max(initial=0.0))
+    return int((sv > cutoff).sum(axis=1).max(initial=0))
 
 
 def tnn(x: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import inspect
+import time
 
 import numpy as np
 import pytest
 
-from wstnn import cli, solvers, tensor_io
+from wstnn import cli, ntubal, solvers, synth, tensor_io
 from wstnn.synth import CpSpec, gen_cp_tensor
 
 
@@ -177,6 +179,38 @@ class TestCli:
         assert (args.gamma, args.max_iter, args.rel_tol) == (
             defaults["gamma"], defaults["p_max"], defaults["rel_tol"]
         )
+
+    def test_rank_and_sweep_defaults_come_from_library(self):
+        def default(fn, param):
+            return inspect.signature(fn).parameters[param].default
+
+        threshold = default(ntubal.estimate_n_tubal_rank, "rel_threshold")
+        parser = cli.build_parser()
+        for argv in (
+            ["complete", "--input", "x", "--out", "o"],
+            ["rpca", "--input", "x", "--out-low", "l", "--out-sparse", "s"],
+        ):
+            args = parser.parse_args(argv)
+            assert args.threshold == threshold
+            assert args.eta == default(ntubal.weights_rank_aware, "eta")
+        assert parser.parse_args(["rank", "--input", "x"]).threshold == threshold
+        args = parser.parse_args(["sweep", "--task", "complete", "--out", "o"])
+        grid = synth.PhaseGrid()
+        assert [int(r) for r in args.ranks.split(",")] == grid.ranks
+        assert [float(v) for v in args.levels.split(",")] == grid.levels
+        assert (args.trials, args.success_threshold) == (grid.trials, grid.success_threshold)
+
+    def test_sweep_rejects_rank_above_shape_before_any_trial(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert cli.main([
+            "sweep", "--task", "complete", "--shape", "15,15,15", "--trials", "2",
+            "--out", str(out),
+        ]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "cp_rank 20" in err and "(15, 15, 15)" in err
+        assert not out.exists()
 
     def test_tsvd_factors_reconstruct(self, tmp_path):
         from wstnn.tsvd import conj_transpose, t_product

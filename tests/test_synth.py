@@ -144,6 +144,17 @@ class TestPhaseSweep:
         with pytest.raises(ValueError):
             synth.phase_sweep(synth.PhaseGrid(), "denoise", (5, 5, 5))
 
+    def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
+        def trial(shape, rank, level, seed, cfg, threshold):
+            (tmp_path / f"{rank}-{seed.spawn_key}").touch()
+            return True
+
+        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        grid = synth.PhaseGrid(ranks=[1, 2, 6], levels=[0.5], trials=2)
+        with pytest.raises(ValueError, match=r"cp_rank 6 .*\(5, 5, 5\)"):
+            synth.phase_sweep(grid, "complete", (5, 5, 5))
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             synth.PhaseGrid(ranks=[])

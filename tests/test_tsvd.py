@@ -219,10 +219,22 @@ class TestHalfSpectrum:
 
 
 class TestRanks:
-    def test_multi_rank_identity(self):
-        np.testing.assert_array_equal(
-            tsvd.multi_rank(tsvd.identity_tensor(4, 3)), [4, 4, 4]
+    def test_tubal_rank_identity(self):
+        assert tsvd.tubal_rank(tsvd.identity_tensor(4, 3)) == 4
+
+    def test_tubal_rank_relative_threshold(self):
+        # a second term 1e-3 the size of the first counts by default,
+        # not above 1% of the largest Fourier singular value
+        rng = np.random.default_rng(21)
+        x = sum(
+            scale * np.multiply.outer(
+                np.outer(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 5)),
+                rng.uniform(-1, 1, 4),
+            )
+            for scale in (1.0, 1e-3)
         )
+        assert tsvd.tubal_rank(x) == 2
+        assert tsvd.tubal_rank(x, 0.01) == 1
 
     def test_tubal_rank_outer_product(self):
         rng = np.random.default_rng(17)
