@@ -21,7 +21,7 @@ def main(argv=None):
     parser.add_argument("--shape", default="30,30,30")
     parser.add_argument("--rank", type=int, default=2)
     parser.add_argument("--sr", type=float, default=0.5)
-    parser.add_argument("--tau", type=float, default=10.0)
+    parser.add_argument("--tau", type=float, default=LrtcConfig.tau)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

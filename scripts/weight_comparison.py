@@ -14,7 +14,7 @@ import numpy as np
 
 from wstnn.ntubal import estimate_n_tubal_rank, pair_count, weights_rank_aware, weights_uniform
 from wstnn.solvers import LrtcConfig, lrtc_solve
-from wstnn.synth import CpSpec, gen_cp_tensor, rse, sample_mask
+from wstnn.synth import CpSpec, PhaseGrid, gen_cp_tensor, rse, sample_mask
 
 
 def main(argv=None):
@@ -22,12 +22,13 @@ def main(argv=None):
     parser.add_argument("--shape", default="15,15,15,15")
     parser.add_argument("--rank", type=int, default=2)
     parser.add_argument("--sr", type=float, default=0.4)
-    parser.add_argument("--tau", type=float, default=10.0)
+    parser.add_argument("--tau", type=float, default=LrtcConfig.tau)
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     shape = tuple(int(n) for n in args.shape.split(","))
+    threshold = PhaseGrid().success_threshold
     one_hot = np.zeros(pair_count(len(shape)))
     one_hot[0] = 1.0
 
@@ -50,10 +51,11 @@ def main(argv=None):
             cfg = LrtcConfig(alpha=alpha, tau=args.tau)
             xhat, _ = lrtc_solve(f, mask, cfg)
             errors[name] = rse(xhat, truth)
-            successes[name] += errors[name] < 1e-3
+            successes[name] += errors[name] < threshold
         print(f"{trial:>5} " + " ".join(f"{errors[n]:>12.3e}" for n in strategies))
 
-    print("\nsuccesses (RSE < 1e-3) out of", args.trials)
+    shown = np.format_float_scientific(threshold, trim="-", exp_digits=1)
+    print(f"\nsuccesses (RSE < {shown}) out of", args.trials)
     for name, count in successes.items():
         print(f"  {name:<11} {count}")
     return 0

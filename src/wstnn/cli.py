@@ -24,7 +24,7 @@ import numpy as np
 from . import ntubal, synth, tensor_io
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, default_lambda, lrtc_solve, trpca_solve
 from .tensor_ops import mode_k_unfold, mode_pairs
-from .tsvd import t_svd
+from .tsvd import t_svd, tubal_rank
 
 
 class CliError(Exception):
@@ -144,10 +144,8 @@ def _cmd_rank(args) -> int:
         "input": args.input, "shape": x.shape, "threshold": args.threshold,
     })
     n_tubal = ntubal.estimate_n_tubal_rank(x, args.threshold)
-    tucker = []
-    for k in range(1, x.ndim + 1):
-        sv = np.linalg.svd(mode_k_unfold(x, k), compute_uv=False)
-        tucker.append(int((sv > args.threshold * sv.max()).sum()))
+    tucker = [tubal_rank(mode_k_unfold(x, k)[:, :, None], args.threshold)
+              for k in range(1, x.ndim + 1)]
     pairs = " ".join(f"({k1},{k2})" for k1, k2 in mode_pairs(x.ndim))
     print(f"mode pairs:   {pairs}")
     print("N-tubal rank: " + " ".join(str(r) for r in n_tubal))
@@ -219,7 +217,7 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
     parser.add_argument("--theta", type=float, default=0.001,
                         help="first-pair weight parameter for spectral weights")
     _add_threshold_arg(parser)
-    parser.add_argument("--tau", default="100",
+    parser.add_argument("--tau", default=str(config.tau),
                         help="per-pair threshold: a scalar broadcast to all pairs "
                              "or a comma-separated vector")
     parser.add_argument("--gamma", type=float, default=config.gamma)

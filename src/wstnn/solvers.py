@@ -13,7 +13,9 @@ successive primary iterates drops below ``rel_tol`` (the report reads
 
 User-facing tuning is via the per-pair threshold vector tau; the penalty
 vector is derived as beta = alpha / tau, so the t-SVT threshold for each
-pair starts at exactly tau. Pairs with zero weight are skipped entirely.
+pair starts at exactly tau. The default tau of 10 suits unit-scale data
+such as :func:`wstnn.synth.gen_cp_tensor` draws; it must scale with the
+data. Pairs with zero weight are skipped entirely.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class LrtcConfig:
     """Parameters for :func:`lrtc_solve`."""
 
     alpha: np.ndarray
-    tau: np.ndarray | float
+    tau: np.ndarray | float = 10.0
     gamma: float = 1.1
     p_max: int = 500
     rel_tol: float = 1e-4
@@ -85,8 +87,8 @@ class TrpcaConfig:
     """
 
     alpha: np.ndarray
-    tau: np.ndarray | float
     lam: float
+    tau: np.ndarray | float = 10.0
     gamma: float = 1.2
     p_max: int = 500
     rel_tol: float = 1e-4

@@ -3,9 +3,9 @@
 Test tensors are sums of r rank-one outer products of random factor
 vectors, drawn uniformly on [-1, 1]. Zero-mean factors keep the Fourier
 spectra of the unfoldings balanced (no dominant DC slice, so relative
-singular-value thresholds estimate the rank reliably), and the resulting
-data scale matches the reported per-pair thresholds for the synthetic
-experiments. A draw is accepted only if each factor set is linearly
+singular-value thresholds estimate the rank reliably), and the entries
+are of order one, the scale that the solver configs' default tau fits.
+A draw is accepted only if each factor set is linearly
 independent and, for every mode pair, the DFT of every collapsed
 remaining-factor vector is nonzero everywhere; under these conditions
 the N-tubal rank of the draw is exactly r on every pair. Violating draws
@@ -46,8 +46,6 @@ __all__ = [
     "add_salt_pepper",
     "rse",
     "phase_sweep",
-    "default_completion_config",
-    "default_rpca_config",
 ]
 
 logger = logging.getLogger(__name__)
@@ -172,19 +170,6 @@ class PhaseGrid:
             raise ValueError("trials must be at least 1")
 
 
-def default_completion_config(ndim: int) -> LrtcConfig:
-    """Reported synthetic-experiment settings: uniform weights; tau = 10
-    per pair for three-way data, 50 for higher orders."""
-    return LrtcConfig(alpha=weights_uniform(ndim), tau=10.0 if ndim == 3 else 50.0)
-
-
-def default_rpca_config(shape: tuple[int, ...]) -> TrpcaConfig:
-    """The completion settings for ``len(shape)`` plus the size-based
-    :func:`default_lambda`."""
-    base = default_completion_config(len(shape))
-    return TrpcaConfig(alpha=base.alpha, tau=base.tau, lam=default_lambda(shape, base.alpha))
-
-
 def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(cell, trial))
 
@@ -193,7 +178,7 @@ def _run_completion_trial(shape, rank, sr, seed, cfg_template, threshold) -> boo
     gen_seed, mask_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     mask = sample_mask(shape, sr, mask_seed)
-    cfg = cfg_template or default_completion_config(len(shape))
+    cfg = cfg_template or LrtcConfig(alpha=weights_uniform(len(shape)))
     xhat, _ = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
     return rse(xhat, truth) < threshold
 
@@ -202,7 +187,8 @@ def _run_rpca_trial(shape, rank, nl, seed, cfg_template, threshold) -> bool:
     gen_seed, noise_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     noisy = add_salt_pepper(truth, nl, noise_seed)
-    cfg = cfg_template or default_rpca_config(shape)
+    alpha = weights_uniform(len(shape))
+    cfg = cfg_template or TrpcaConfig(alpha=alpha, lam=default_lambda(shape, alpha))
     low, _, _ = trpca_solve(noisy, cfg)
     return rse(low, truth) < threshold
 

@@ -14,6 +14,7 @@ round trips are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -63,6 +64,10 @@ def read_tensor(path: str | Path) -> np.ndarray:
         numel = math.prod(shape)
         if numel > _MAX_ELEMENTS:
             raise TensorFormatError(f"{path}: extent product overflow ({numel})")
+        # compare with the file size before reading: a forged element
+        # count must not make the read allocate more than the file holds
+        if 8 * numel > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise TensorFormatError(f"{path}: truncated payload")
         payload = fh.read(8 * numel)
         if len(payload) != 8 * numel:
             raise TensorFormatError(f"{path}: truncated payload")

@@ -55,6 +55,18 @@ class TestTensorFile:
         with pytest.raises(tensor_io.TensorFormatError):
             tensor_io.read_tensor(path)
 
+    def test_forged_element_count(self, tmp_path, capsys):
+        import struct
+
+        # an 80-byte file whose one-way header claims 2^34 elements
+        path = tmp_path / "forged.ntb"
+        path.write_bytes(tensor_io.MAGIC + struct.pack("<QQ", 1, 1 << 34) + b"\x00" * 58)
+        assert path.stat().st_size == 80
+        with pytest.raises(tensor_io.TensorFormatError, match="truncated payload"):
+            tensor_io.read_tensor(path)
+        assert cli.main(["rank", "--input", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             tensor_io.write_tensor(tmp_path / "e.ntb", np.zeros((2, 0, 3)))
@@ -94,6 +106,7 @@ class TestCli:
         assert cli.main(["rank", "--input", str(path)]) == 0
         out = capsys.readouterr().out
         assert "N-tubal rank: 5 5 5" in out
+        assert "Tucker rank:  5 5 5" in out
 
     def test_complete_full_observation(self, tmp_path, capsys):
         x = gen_cp_tensor(CpSpec((10, 10, 10), 2, seed=1))
@@ -106,15 +119,17 @@ class TestCli:
         assert rc == 0
         np.testing.assert_array_equal(tensor_io.read_tensor(outp), x)
 
-    def test_complete_recovers(self, tmp_path):
+    # with and without --tau: the default must not stall the solve
+    @pytest.mark.parametrize("tau", [["--tau", "10"], []], ids=["tau10", "default"])
+    def test_complete_recovers(self, tmp_path, tau):
         x = gen_cp_tensor(CpSpec((15, 15, 15), 2, seed=2))
         inp, outp = tmp_path / "in.ntb", tmp_path / "out.ntb"
         rep = tmp_path / "trace.csv"
         tensor_io.write_tensor(inp, x)
         rc = cli.main([
             "complete", "--input", str(inp), "--sr", "0.6", "--seed", "3",
-            "--tau", "10", "--out", str(outp), "--report", str(rep),
-        ])
+            "--out", str(outp), "--report", str(rep),
+        ] + tau)
         assert rc == 0
         from wstnn.synth import rse
 
@@ -124,7 +139,8 @@ class TestCli:
         assert rows[0] == ["iteration", "rel_change"]
         assert len(rows) > 2
 
-    def test_rpca_splits(self, tmp_path):
+    @pytest.mark.parametrize("tau", [["--tau", "10"], []], ids=["tau10", "default"])
+    def test_rpca_splits(self, tmp_path, tau):
         from wstnn.synth import add_salt_pepper, rse
 
         truth = gen_cp_tensor(CpSpec((20, 20, 20), 2, seed=4))
@@ -133,9 +149,9 @@ class TestCli:
         low_p, sp_p = tmp_path / "low.ntb", tmp_path / "sp.ntb"
         tensor_io.write_tensor(inp, noisy)
         rc = cli.main([
-            "rpca", "--input", str(inp), "--tau", "10", "--rel-tol", "1e-6",
+            "rpca", "--input", str(inp), "--rel-tol", "1e-6",
             "--out-low", str(low_p), "--out-sparse", str(sp_p),
-        ])
+        ] + tau)
         assert rc == 0
         assert rse(tensor_io.read_tensor(low_p), truth) < 1e-3
 
@@ -176,8 +192,8 @@ class TestCli:
         required = {"complete": ["--out", "o"], "rpca": ["--out-low", "l", "--out-sparse", "s"]}
         args = cli.build_parser().parse_args([command, "--input", "x"] + required[command])
         defaults = {f.name: f.default for f in dataclasses.fields(config)}
-        assert (args.gamma, args.max_iter, args.rel_tol) == (
-            defaults["gamma"], defaults["p_max"], defaults["rel_tol"]
+        assert (cli._parse_tau(args.tau), args.gamma, args.max_iter, args.rel_tol) == (
+            defaults["tau"], defaults["gamma"], defaults["p_max"], defaults["rel_tol"]
         )
 
     def test_rank_and_sweep_defaults_come_from_library(self):

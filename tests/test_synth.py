@@ -140,6 +140,12 @@ class TestPhaseSweep:
         rows = synth.phase_sweep(grid, "rpca", (15, 15, 15), base_seed=0)
         assert rows[0]["successes"] == 1
 
+    def test_four_way_default_config(self):
+        # the default tau must not stall the first sweep on four-way data
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=2)
+        rows = synth.phase_sweep(grid, "complete", (10, 10, 10, 10))
+        assert rows[0]["rate"] == 1.0
+
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             synth.phase_sweep(synth.PhaseGrid(), "denoise", (5, 5, 5))
