@@ -58,11 +58,10 @@ def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
     if args.weights == "rank-aware":
         rank = ntubal.estimate_n_tubal_rank(x, args.threshold)
         return ntubal.weights_rank_aware(x.shape, rank, args.eta)
-    if args.weights == "spectral":
-        if ndim != 3:
-            raise CliError("spectral weights are defined for three-way tensors only")
-        return ntubal.weights_spectral(args.theta)
-    raise CliError(f"unknown weight strategy {args.weights!r}")
+    # argparse choices leave "spectral" as the only other strategy
+    if ndim != 3:
+        raise CliError("spectral weights are defined for three-way tensors only")
+    return ntubal.weights_spectral(args.theta)
 
 
 def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> int:
@@ -99,10 +98,11 @@ def _cmd_complete(args) -> int:
             raise CliError("mask shape does not match input shape")
     else:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
-        f = np.where(omega, f, 0.0)
+    # entries off the mask are unobserved, to the rank estimate as well
+    f = np.where(omega, f, 0.0)
     alpha = _resolve_weights(args, f)
-    cfg = LrtcConfig(alpha=alpha, tau=_parse_tau(args.tau), gamma=args.gamma,
-                     p_max=args.max_iter, rel_tol=args.rel_tol).validated(f.ndim)
+    cfg = LrtcConfig(alpha=alpha, tau=_parse_tau(args.tau), p_max=args.max_iter,
+                     rel_tol=args.rel_tol).validated(f.ndim)
     _print_config("complete", {
         "input": args.input, "shape": f.shape, "weights": args.weights,
         "alpha": cfg.alpha, "tau": cfg.tau, "gamma": cfg.gamma,
@@ -124,7 +124,7 @@ def _cmd_rpca(args) -> int:
             lam = float(args.lam)
         except ValueError:
             raise CliError(f"--lambda must be 'auto' or a number, got {args.lam!r}")
-    cfg = TrpcaConfig(alpha=alpha, tau=_parse_tau(args.tau), lam=lam, gamma=args.gamma,
+    cfg = TrpcaConfig(alpha=alpha, tau=_parse_tau(args.tau), lam=lam,
                       p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.ndim)
     _print_config("rpca", {
         "input": args.input, "shape": x.shape, "weights": args.weights,
@@ -220,7 +220,6 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
     parser.add_argument("--tau", default=str(config.tau),
                         help="per-pair threshold: a scalar broadcast to all pairs "
                              "or a comma-separated vector")
-    parser.add_argument("--gamma", type=float, default=config.gamma)
     parser.add_argument("--max-iter", type=int, default=config.p_max)
     parser.add_argument("--rel-tol", type=float, default=config.rel_tol)
 

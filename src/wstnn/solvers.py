@@ -6,8 +6,9 @@ applies tensor singular value thresholding to every pair's unfolding of
 the current iterate, hands the penalty-weighted pair estimates to the
 solver's own ``combine`` step (completion re-imposes the observed
 entries; robust PCA adds its l1 block), then updates the pair
-multipliers and penalties. Penalties grow by ``gamma`` each sweep, capped
-at ``PENALTY_MAX``. Iteration stops when the relative change of
+multipliers and penalties. Penalties grow by the solver's constant
+``gamma`` each sweep (1.1 for completion, 1.2 for robust PCA), capped at
+``PENALTY_MAX``. Iteration stops when the relative change of
 successive primary iterates drops below ``rel_tol`` (the report reads
 ``converged``) or after ``p_max`` sweeps.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,8 +59,6 @@ def _validated(cfg, ndim: int):
         raise ValueError(f"tau must be a scalar or length-{n_pairs} vector")
     if (tau <= 0).any():
         raise ValueError("tau must be positive elementwise")
-    if cfg.gamma <= 1:
-        raise ValueError("gamma must exceed 1")
     if cfg.p_max < 1:
         raise ValueError("p_max must be at least 1")
     return replace(cfg, alpha=alpha, tau=tau)
@@ -70,7 +70,7 @@ class LrtcConfig:
 
     alpha: np.ndarray
     tau: np.ndarray | float = 10.0
-    gamma: float = 1.1
+    gamma: ClassVar[float] = 1.1
     p_max: int = 500
     rel_tol: float = 1e-4
 
@@ -89,7 +89,7 @@ class TrpcaConfig:
     alpha: np.ndarray
     lam: float
     tau: np.ndarray | float = 10.0
-    gamma: float = 1.2
+    gamma: ClassVar[float] = 1.2
     p_max: int = 500
     rel_tol: float = 1e-4
 

@@ -69,6 +69,16 @@ def full_t_svd_s(x: np.ndarray) -> np.ndarray:
     return _real_inverse(sf)
 
 
+def full_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
+    """t-SVT by one thin SVD per slice of the full spectrum, each slice's
+    singular values shrunk by ``tau``."""
+    slices = []
+    for s in _full_spectrum(z):
+        u, sig, vh = np.linalg.svd(s, full_matrices=False)
+        slices.append((u * np.maximum(sig - tau, 0.0)) @ vh)
+    return _real_inverse(np.array(slices))
+
+
 def phase_sweep_serial(grid, task, shape, base_seed=0, config_template=None):
     """``synth.phase_sweep`` as one loop over cells and trials, with the
     same trial functions and per-trial seeds."""

@@ -139,6 +139,30 @@ class TestCli:
         assert rows[0] == ["iteration", "rel_change"]
         assert len(rows) > 2
 
+    def test_complete_mask_ignores_entries_off_the_mask(self, tmp_path, capsys):
+        # rank-aware weights must come from the observed entries only, so
+        # the full truth, a zero fill and NaN off the mask all solve alike
+        truth = gen_cp_tensor(CpSpec((10, 20, 30), 2, seed=0))
+        mask = synth.sample_mask(truth.shape, 0.3, seed=1)
+        mask_path = tmp_path / "mask.ntb"
+        tensor_io.write_tensor(mask_path, mask.astype(np.float64))
+        alphas, outputs = [], []
+        for name, fill in (("truth", truth), ("zero", 0.0), ("nan", np.nan)):
+            inp, outp = tmp_path / f"{name}.ntb", tmp_path / f"{name}-out.ntb"
+            tensor_io.write_tensor(inp, np.where(mask, truth, fill))
+            rc = cli.main([
+                "complete", "--input", str(inp), "--mask", str(mask_path),
+                "--weights", "rank-aware", "--max-iter", "3", "--out", str(outp),
+            ])
+            assert rc == 0, capsys.readouterr().err
+            out = capsys.readouterr().out
+            alphas.append(next(line for line in out.splitlines()
+                               if line.startswith("  alpha = ")))
+            outputs.append(tensor_io.read_tensor(outp))
+        assert alphas[0] == alphas[1] == alphas[2]
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out, outputs[0])
+
     @pytest.mark.parametrize("tau", [["--tau", "10"], []], ids=["tau10", "default"])
     def test_rpca_splits(self, tmp_path, tau):
         from wstnn.synth import add_salt_pepper, rse
@@ -192,8 +216,8 @@ class TestCli:
         required = {"complete": ["--out", "o"], "rpca": ["--out-low", "l", "--out-sparse", "s"]}
         args = cli.build_parser().parse_args([command, "--input", "x"] + required[command])
         defaults = {f.name: f.default for f in dataclasses.fields(config)}
-        assert (cli._parse_tau(args.tau), args.gamma, args.max_iter, args.rel_tol) == (
-            defaults["tau"], defaults["gamma"], defaults["p_max"], defaults["rel_tol"]
+        assert (cli._parse_tau(args.tau), args.max_iter, args.rel_tol) == (
+            defaults["tau"], defaults["p_max"], defaults["rel_tol"]
         )
 
     def test_rank_and_sweep_defaults_come_from_library(self):

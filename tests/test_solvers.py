@@ -38,11 +38,6 @@ class TestDefaultLambda:
 
 
 class TestConfigValidation:
-    def test_lrtc_rejects_bad_gamma(self):
-        cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=1.0, gamma=1.0)
-        with pytest.raises(ValueError):
-            cfg.validated(3)
-
     def test_lrtc_rejects_nonpositive_tau(self):
         cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=0.0)
         with pytest.raises(ValueError):

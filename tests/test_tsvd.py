@@ -199,6 +199,16 @@ class TestHalfSpectrum:
             eye = tsvd.identity_tensor(f.shape[0], n3)
             assert_rel_close(oracles.full_t_product(tsvd.conj_transpose(f), f), eye)
 
+    @half_spectrum_cases
+    @settings(max_examples=25, deadline=None)
+    @given(n1=extents, n2=extents, scale=st.sampled_from([0.0, 1.0]),
+           tau_frac=st.sampled_from([0.0, 0.5, 1.5]), seed=seeds)
+    def test_t_svt_matches_full_fft(self, n3, n1, n2, scale, tau_frac, seed):
+        # tau is 0, half the largest Fourier singular value, or above it
+        x = scale * np.random.default_rng(seed).standard_normal((n1, n2, n3))
+        tau = tau_frac * oracles.full_fourier_singular_values(x).max()
+        assert_rel_close(tsvd.t_svt(x, tau), oracles.full_t_svt(x, tau))
+
     @pytest.mark.parametrize(
         "n3, where", [(5, 0), (6, 0), (6, -1)], ids=["dc-odd", "dc-even", "nyquist"]
     )
