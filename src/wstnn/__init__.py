@@ -24,7 +24,7 @@ from .solvers import (
     trpca_solve,
 )
 from .synth import CpSpec, PhaseGrid, add_salt_pepper, gen_cp_tensor, phase_sweep, rse, sample_mask
-from .tensor_io import psnr, read_tensor, write_tensor
+from .tensor_io import read_tensor, write_tensor
 from .tensor_ops import (
     frobenius_norm,
     mode_k1k2_fold,

@@ -41,8 +41,8 @@ def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
             f"weight vector of length {alpha.size} does not match order {ndim} "
             f"(expected {pair_count(ndim)})"
         )
-    if (alpha < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(alpha) & (alpha >= 0)).all():
+        raise ValueError(f"weights must be finite and nonnegative, got {alpha.tolist()}")
     if abs(alpha.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1, got {alpha.sum()!r}")
     return alpha
@@ -91,6 +91,8 @@ def weights_rank_aware(
     normalized by their sum R, so a lower relative rank gets a larger
     weight. Deficits are floored at 0 for ranks exceeding the extent.
     """
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     shape = tuple(shape)
     pairs = mode_pairs(len(shape))
     rank = np.asarray(rank, dtype=np.float64)
@@ -109,6 +111,6 @@ def weights_rank_aware(
 def weights_spectral(theta: float) -> np.ndarray:
     """Three-way weights (theta, 1, 1)/(2 + theta) for data with one
     strongly correlated mode (e.g. a spectral axis)."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta!r}")
     return np.array([theta, 1.0, 1.0]) / (2.0 + theta)

@@ -57,10 +57,12 @@ def _validated(cfg, ndim: int):
         tau = np.full(n_pairs, float(tau))
     if tau.shape != (n_pairs,):
         raise ValueError(f"tau must be a scalar or length-{n_pairs} vector")
-    if (tau <= 0).any():
-        raise ValueError("tau must be positive elementwise")
+    if not ((tau > 0) & (tau < np.inf)).all():
+        raise ValueError(f"tau must be positive and finite elementwise, got {tau.tolist()}")
     if cfg.p_max < 1:
         raise ValueError("p_max must be at least 1")
+    if not np.isfinite(cfg.rel_tol):
+        raise ValueError(f"rel_tol must be finite, got {cfg.rel_tol!r}")
     return replace(cfg, alpha=alpha, tau=tau)
 
 
@@ -99,8 +101,8 @@ class TrpcaConfig:
         return 1.0 / float(np.mean(self.tau))
 
     def validated(self, ndim: int) -> "TrpcaConfig":
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
         return _validated(self, ndim)
 
 

@@ -13,7 +13,8 @@ are regenerated with a fresh substream.
 
 Every randomized operation takes an explicit seed; per-trial seeds in
 the sweep are derived from (base seed, cell index, trial index), so the
-sweep output is deterministic regardless of execution order.
+sweep output is deterministic regardless of execution order. A bad sweep
+setting is a ``ValueError`` before any trial runs, never a failed trial.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .solvers import (
     trpca_solve,
 )
 from .tensor_ops import frobenius_norm, mode_pairs, vectorize
-from .tsvd import NumericError
 
 __all__ = [
     "CpSpec",
@@ -105,13 +105,22 @@ def gen_cp_tensor(spec: CpSpec) -> np.ndarray:
     )
 
 
+def _check_sampling_rate(sr: float) -> None:
+    if not 0.0 < sr <= 1.0:
+        raise ValueError(f"sampling rate must lie in (0, 1], got {sr!r}")
+
+
+def _check_noise_level(nl: float) -> None:
+    if not 0.0 <= nl < 1.0:
+        raise ValueError(f"noise level must lie in [0, 1), got {nl!r}")
+
+
 def sample_mask(
     shape: tuple[int, ...], sr: float, seed: int | np.random.SeedSequence = 0
 ) -> np.ndarray:
     """Boolean mask with exactly round(sr * numel) True entries, drawn
     uniformly without replacement."""
-    if not 0.0 < sr <= 1.0:
-        raise ValueError("sampling rate must lie in (0, 1]")
+    _check_sampling_rate(sr)
     numel = int(np.prod(shape, dtype=np.int64))
     n_obs = int(round(sr * numel))
     rng = np.random.default_rng(seed)
@@ -125,8 +134,7 @@ def add_salt_pepper(
 ) -> np.ndarray:
     """Replace a fraction ``nl`` of entries with the min or max value of
     ``x`` (equal probability each)."""
-    if not 0.0 <= nl < 1.0:
-        raise ValueError("noise level must lie in [0, 1)")
+    _check_noise_level(nl)
     x = np.asarray(x, dtype=np.float64)
     out = x.copy()
     if nl == 0.0:
@@ -168,6 +176,8 @@ class PhaseGrid:
             raise ValueError("ranks and levels must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0.0 < self.success_threshold < np.inf:
+            raise ValueError("success_threshold must be positive and finite")
 
 
 def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
@@ -247,18 +257,28 @@ def phase_sweep(
     The rows do not depend on the worker count or on the order in which
     trials finish: each trial draws from its own seed, derived from
     (base seed, cell index, trial index), and the results are collected
-    in submission order. A numeric breakdown in a trial
-    (:class:`NumericError` or ``numpy.linalg.LinAlgError``) is logged on
-    this module's logger, in the calling process and in trial order, and
-    counts as an unsuccessful trial and in the cell's ``errors``. Any other
-    exception is a programming error: the pending trials are cancelled and
-    the exception propagates. A grid rank that :class:`CpSpec` rejects for
-    ``shape`` raises ``ValueError`` before any trial runs.
+    in submission order. A numeric breakdown in a trial (a
+    ``numpy.linalg.LinAlgError``; :class:`~wstnn.tsvd.NumericError` is one)
+    is logged on this module's logger, in the calling process and in trial
+    order, and counts as an unsuccessful trial and in the cell's ``errors``.
+    Any other exception is a programming error: the pending trials are
+    cancelled and the exception propagates. A bad setting raises
+    ``ValueError`` before any trial runs: a grid rank or level that the
+    task's generator or corruption operator rejects, or a config template
+    of the wrong class or that fails its ``validated(len(shape))``.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
     for rank in grid.ranks:
         CpSpec(shape, rank)
+    check_level, config_cls = ((_check_sampling_rate, LrtcConfig) if task == "complete"
+                               else (_check_noise_level, TrpcaConfig))
+    for level in grid.levels:
+        check_level(level)
+    if config_template is not None:
+        if not isinstance(config_template, config_cls):
+            raise ValueError(f"task {task!r} takes a {config_cls.__name__} template")
+        config_template.validated(len(shape))
     # imported here: every process that imports wstnn would pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -290,7 +310,7 @@ def phase_sweep(
             for cell, trial, future in futures:
                 try:
                     successes[cell] += bool(future.result())
-                except (NumericError, np.linalg.LinAlgError):
+                except np.linalg.LinAlgError:
                     rank, level = cells[cell]
                     logger.exception(
                         "trial failed (rank=%s, level=%s, trial=%s)", rank, level, trial

@@ -1,4 +1,4 @@
-"""Binary tensor file format and quality metrics.
+"""Binary tensor file format.
 
 File layout (all integers unsigned 64-bit little-endian):
 
@@ -20,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_ops import frobenius_norm
-
-__all__ = ["MAGIC", "TensorFormatError", "read_tensor", "write_tensor", "psnr"]
+__all__ = ["MAGIC", "TensorFormatError", "read_tensor", "write_tensor"]
 
 MAGIC = b"NTUB1\x00"
 
@@ -74,21 +72,3 @@ def read_tensor(path: str | Path) -> np.ndarray:
     data = np.frombuffer(payload, dtype="<f8")
     return data.reshape(shape, order="F").copy()
 
-
-def psnr(xhat: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB:
-    10 * log10(peak^2 * numel / ||xhat - x||_F^2).
-
-    ``peak`` defaults to max|x|. Returns +inf for an exact match.
-    """
-    xhat, x = np.asarray(xhat), np.asarray(x)
-    if xhat.shape != x.shape:
-        raise ValueError("shape mismatch")
-    if peak is None:
-        peak = float(np.abs(x).max())
-    if peak <= 0:
-        raise ValueError("peak must be positive")
-    err = frobenius_norm(xhat - x)
-    if err == 0:
-        return float("inf")
-    return 10.0 * math.log10(peak**2 * x.size / err**2)

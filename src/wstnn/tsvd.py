@@ -18,14 +18,15 @@ copy of row ``min(i, n3 - i)``, since conjugate slices share their
 singular values. The products and factors go back through ``irfft``,
 which implies the mirrored slices and returns real output.
 
-Imaginary-residue guard: ``irfft`` silently drops the imaginary part of
-the self-conjugate slices, DC and (for even ``n3``) Nyquist. Those two
-slices must be real for real output, so their imaginary part is the
-residue a full inverse DFT would show. A residue above
-``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
-raises :class:`NumericError` instead of being silently discarded. The
-same guard checks the whole complex output of the full inverse DFT in
-:func:`t_svt`.
+Numeric breakdowns raise ``numpy.linalg.LinAlgError``: numpy's own when
+an SVD of the Fourier slices fails (say, on a NaN entry), and its subclass
+:class:`NumericError` from the imaginary-residue guard. ``irfft`` silently
+drops the imaginary part of the self-conjugate slices, DC and (for even
+``n3``) Nyquist. Those two slices must be real for real output, so their
+imaginary part is the residue a full inverse DFT would show. A residue
+above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
+raises instead of being silently discarded. The same guard checks the
+whole complex output of the full inverse DFT in :func:`t_svt`.
 
 :func:`t_svt`, the solvers' hot kernel, still transforms the full
 spectrum (:func:`dft_tubes` / :func:`idft_tubes`).
@@ -57,8 +58,8 @@ __all__ = [
 IMAG_TOL = 1e-9
 
 
-class NumericError(RuntimeError):
-    """A numeric invariant failed (SVD breakdown or excess imaginary residue)."""
+class NumericError(np.linalg.LinAlgError):
+    """An inverse DFT left an imaginary residue above the tolerance."""
 
 
 class TSvdFactors(NamedTuple):
@@ -160,10 +161,7 @@ def t_svd(x: np.ndarray) -> TSvdFactors:
     """
     x = _require_3way(x)
     n1, n2, n3 = x.shape
-    try:
-        u, sig, vh = np.linalg.svd(_rfft_slices(x), full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed on a Fourier slice: {exc}") from exc
+    u, sig, vh = np.linalg.svd(_rfft_slices(x), full_matrices=True)
     k = sig.shape[1]
     sf = np.zeros((sig.shape[0], n1, n2))
     sf[:, range(k), range(k)] = sig
@@ -215,10 +213,7 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
     zf = _slices_first(dft_tubes(z))
-    try:
-        u, sig, vh = np.linalg.svd(zf, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed on a Fourier slice: {exc}") from exc
+    u, sig, vh = np.linalg.svd(zf, full_matrices=False)
     shrunk = np.maximum(sig - tau, 0.0)
     out = (u * shrunk[:, None, :]) @ vh
     return _real_part(idft_tubes(_slices_last(out)), frobenius_norm(z))

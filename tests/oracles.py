@@ -11,7 +11,6 @@ calling process, the reference for the worker pool of
 import numpy as np
 
 from wstnn import synth
-from wstnn.tsvd import NumericError
 
 
 def bcirc(x: np.ndarray) -> np.ndarray:
@@ -95,7 +94,7 @@ def phase_sweep_serial(grid, task, shape, base_seed=0, config_template=None):
                 try:
                     ok = run(shape, rank, level, seed, config_template,
                              grid.success_threshold)
-                except (NumericError, np.linalg.LinAlgError):
+                except np.linalg.LinAlgError:
                     ok = False
                     errors += 1
                 successes += bool(ok)

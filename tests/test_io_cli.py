@@ -72,32 +72,6 @@ class TestTensorFile:
             tensor_io.write_tensor(tmp_path / "e.ntb", np.zeros((2, 0, 3)))
 
 
-class TestPsnr:
-    def test_exact_match_is_inf(self):
-        x = np.ones((3, 3, 3))
-        assert tensor_io.psnr(x, x) == float("inf")
-
-    def test_peak_error_everywhere_is_zero_db(self):
-        # error of magnitude peak at every entry: 10*log10(1) = 0 dB
-        x = np.ones((4, 4, 4))
-        assert tensor_io.psnr(np.zeros_like(x), x) == pytest.approx(0.0)
-
-    def test_halving_error_adds_6db(self):
-        x = np.ones((4, 4, 4))
-        a = tensor_io.psnr(x + 0.2, x)
-        b = tensor_io.psnr(x + 0.1, x)
-        assert b - a == pytest.approx(20 * np.log10(2), rel=1e-12)
-
-    def test_explicit_peak(self):
-        x = np.full((2, 2, 2), 0.5)
-        assert tensor_io.psnr(x + 1.0, x, peak=1.0) == pytest.approx(0.0)
-
-    def test_nonpositive_peak_rejected(self):
-        x = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError):
-            tensor_io.psnr(x, x, peak=0.0)
-
-
 class TestCli:
     def test_rank_prints_n_tubal(self, tmp_path, capsys):
         x = gen_cp_tensor(CpSpec((12, 12, 12), 5, seed=0))
@@ -298,6 +272,22 @@ class TestCli:
         assert "stopped at --max-iter" in capsys.readouterr().out
         assert cli.main(base + ["--sr", "1.0"]) == 0
         assert "stopped at --max-iter" not in capsys.readouterr().out
+
+    # a non-finite entry or setting ends in one error line, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["tsvd", "--input", "nan.ntb", "--out-u", "u", "--out-s", "s", "--out-v", "v"],
+        ["complete", "--input", "x.ntb", "--sr", "0.6", "--out", "o", "--tau", "nan"],
+        ["rpca", "--input", "x.ntb", "--out-low", "l", "--out-sparse", "s", "--lambda", "nan"],
+    ], ids=["tsvd-nan-entry", "complete-tau-nan", "rpca-lambda-nan"])
+    def test_nonfinite_fails_with_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        x = np.random.default_rng(8).standard_normal((6, 5, 4))
+        tensor_io.write_tensor("x.ntb", x)
+        x[2, 1, 3] = np.nan
+        tensor_io.write_tensor("nan.ntb", x)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_complete_requires_mask_xor_sr(self, tmp_path, capsys):
         x = np.ones((5, 5, 5))

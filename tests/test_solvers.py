@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy import inf, nan
 
 from wstnn import solvers
-from wstnn.ntubal import weights_uniform
+from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform
 from wstnn.synth import CpSpec, gen_cp_tensor, rse, sample_mask
 from wstnn.tensor_ops import frobenius_norm
 
@@ -62,6 +63,29 @@ class TestConfigValidation:
     def test_scalar_tau_broadcast(self):
         cfg = solvers.LrtcConfig(alpha=weights_uniform(4), tau=7.0).validated(4)
         np.testing.assert_array_equal(cfg.tau, np.full(6, 7.0))
+
+    # every non-finite setting is a ValueError at validation, before a solve
+    @pytest.mark.parametrize("check", [
+        lambda: solvers.LrtcConfig(alpha=[nan, 0.5, 0.5]).validated(3),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=nan).validated(3),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=inf).validated(3),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=[10, nan, 10]).validated(3),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=nan).validated(3),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=inf).validated(3),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=nan).validated(3),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=inf).validated(3),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1, tau=nan).validated(3),
+        lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=nan),
+        lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=inf),
+        lambda: weights_spectral(nan),
+        lambda: weights_spectral(inf),
+    ], ids=[
+        "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
+        "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "theta-nan", "theta-inf",
+    ])
+    def test_nonfinite_setting_rejected(self, check):
+        with pytest.raises(ValueError):
+            check()
 
 
 # unit extents and n3 = 1

@@ -161,11 +161,42 @@ class TestPhaseSweep:
             synth.phase_sweep(grid, "complete", (5, 5, 5))
         assert list(tmp_path.iterdir()) == []
 
+    # each bad setting, levels and config templates alike, raises before
+    # the pool forks, so no trial runs
+    @pytest.mark.parametrize("task, levels, cfg", [
+        ("complete", [0.5, 1.5], None),
+        ("complete", [0.5, float("nan")], None),
+        ("rpca", [0.1, 1.0], None),
+        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), tau=float("nan"))),
+        ("complete", [0.5], solvers.LrtcConfig(alpha=[float("nan"), 0.5, 0.5])),
+        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(4))),
+        ("complete", [0.5], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1)),
+        ("rpca", [0.1], solvers.LrtcConfig(alpha=weights_uniform(3))),
+        ("rpca", [0.1], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=float("nan"))),
+    ], ids=[
+        "sr-1.5", "sr-nan", "nl-1.0", "tau-nan", "alpha-nan", "alpha-4way",
+        "complete-trpca-template", "rpca-lrtc-template", "lam-nan",
+    ])
+    def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
+                                                   task, levels, cfg):
+        def trial(shape, rank, level, seed, cfg, threshold):
+            (tmp_path / f"{level}-{seed.spawn_key}").touch()
+            return True
+
+        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        monkeypatch.setattr(synth, "_run_rpca_trial", trial)
+        grid = synth.PhaseGrid(ranks=[1], levels=levels, trials=2)
+        with pytest.raises(ValueError):
+            synth.phase_sweep(grid, task, (5, 5, 5), config_template=cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             synth.PhaseGrid(ranks=[])
         with pytest.raises(ValueError):
             synth.PhaseGrid(trials=0)
+        with pytest.raises(ValueError):
+            synth.PhaseGrid(success_threshold=float("nan"))
 
     @staticmethod
     def _raising_solver(exc):

@@ -227,6 +227,17 @@ class TestHalfSpectrum:
         with pytest.raises(tsvd.NumericError):
             tsvd.t_svd(random_tensor((4, 3, n3), 26))
 
+    # numpy's SVD failure passes through as it is, and the residue guard's
+    # NumericError is the same type, so one except catches both
+    @pytest.mark.parametrize("op", [tsvd.t_svd, lambda x: tsvd.t_svt(x, 1.0)],
+                             ids=["t_svd", "t_svt"])
+    def test_nan_entry_raises_linalg_error(self, op):
+        assert issubclass(tsvd.NumericError, np.linalg.LinAlgError)
+        x = random_tensor((4, 3, 5), 27)
+        x[1, 2, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            op(x)
+
 
 class TestRanks:
     def test_tubal_rank_identity(self):
