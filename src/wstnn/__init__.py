@@ -23,7 +23,8 @@ from .solvers import (
     soft_threshold,
     trpca_solve,
 )
-from .synth import CpSpec, PhaseGrid, add_salt_pepper, gen_cp_tensor, phase_sweep, rse, sample_mask
+from .synth import (CpSpec, PhaseGrid, TrialRecord, add_salt_pepper, gen_cp_tensor,
+                    phase_sweep, phase_trials, rse, sample_mask)
 from .tensor_io import read_tensor, write_tensor
 from .tensor_ops import (
     frobenius_norm,

@@ -127,7 +127,7 @@ class SolveReport:
 
 def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:
     """Elementwise shrinkage sgn(x) * max(|x| - xi, 0)."""
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("threshold xi must be nonnegative")
     return np.sign(x) * np.maximum(np.abs(x) - xi, 0.0)
 

@@ -13,8 +13,10 @@ are regenerated with a fresh substream.
 
 Every randomized operation takes an explicit seed; per-trial seeds in
 the sweep are derived from (base seed, cell index, trial index), so the
-sweep output is deterministic regardless of execution order. A bad sweep
-setting is a ``ValueError`` before any trial runs, never a failed trial.
+sweep output is deterministic regardless of execution order. Each trial
+gives one record (:func:`phase_trials`), and :func:`phase_sweep` counts
+successes per cell from the records. A bad sweep setting is a
+``ValueError`` before any trial runs, never a failed trial.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from .tensor_ops import frobenius_norm, mode_pairs, vectorize
 __all__ = [
     "CpSpec",
     "PhaseGrid",
+    "TrialRecord",
     "gen_cp_tensor",
     "sample_mask",
     "add_salt_pepper",
     "rse",
+    "phase_trials",
     "phase_sweep",
 ]
 
@@ -184,30 +188,47 @@ def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(cell, trial))
 
 
-def _run_completion_trial(shape, rank, sr, seed, cfg_template, threshold) -> bool:
+@dataclass(frozen=True)
+class TrialRecord:
+    """One sweep trial; ``residual`` is the robust-PCA constraint residual
+    relative to the noisy input. A numeric breakdown reads ``error``, RSE
+    NaN and 0 sweeps."""
+
+    rank: int
+    level: float
+    trial: int
+    rse: float
+    sweeps: int
+    converged: bool
+    error: bool = False
+    residual: float | None = None
+
+
+def _run_completion_trial(shape, rank, sr, trial, seed, cfg_template) -> TrialRecord:
     gen_seed, mask_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     mask = sample_mask(shape, sr, mask_seed)
     cfg = cfg_template or LrtcConfig(alpha=weights_uniform(len(shape)))
-    xhat, _ = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
-    return rse(xhat, truth) < threshold
+    xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+    return TrialRecord(rank, sr, trial, rse(xhat, truth), report.iterations, report.converged)
 
 
-def _run_rpca_trial(shape, rank, nl, seed, cfg_template, threshold) -> bool:
+def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
     gen_seed, noise_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     noisy = add_salt_pepper(truth, nl, noise_seed)
     alpha = weights_uniform(len(shape))
     cfg = cfg_template or TrpcaConfig(alpha=alpha, lam=default_lambda(shape, alpha))
-    low, _, _ = trpca_solve(noisy, cfg)
-    return rse(low, truth) < threshold
+    low, _, report = trpca_solve(noisy, cfg)
+    return TrialRecord(rank, nl, trial, rse(low, truth), report.iterations, report.converged,
+                       residual=report.constraint_residual / frobenius_norm(noisy))
 
 
-def _run_trial(task, shape, rank, level, seed, cfg_template, threshold) -> bool:
+def _run_trial(task, shape, rank, level, trial, seed, cfg_template) -> TrialRecord:
     # looks the trial function up when it runs, in the worker, so a
     # replacement installed before the pool forked is the one called
     run = _run_completion_trial if task == "complete" else _run_rpca_trial
-    return run(shape, rank, level, seed, cfg_template, threshold)
+    return run(shape, rank, level, trial, seed, cfg_template)
 
 
 def _openblas_function(name: str):
@@ -228,19 +249,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def phase_sweep(
-    grid: PhaseGrid,
-    task: str,
-    shape: tuple[int, ...],
-    base_seed: int = 0,
-    config_template: LrtcConfig | TrpcaConfig | None = None,
-) -> list[dict]:
-    """Success rate per (rank, level) cell over independent trials.
-
-    ``task`` is "complete" (level = sampling rate) or "rpca" (level =
-    salt-pepper noise level). Returns a list of row dicts with keys rank,
-    level, trials, successes, errors, rate, one per cell in grid order
-    (ranks outer, levels inner).
+def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: int = 0,
+                 config_template: LrtcConfig | TrpcaConfig | None = None) -> list[TrialRecord]:
+    """One :class:`TrialRecord` per (cell, trial) of the grid, in grid order
+    (ranks outer, levels inner, trials innermost). ``task`` is "complete"
+    (level = sampling rate) or "rpca" (level = salt-pepper noise level).
 
     Every (cell, trial) runs in a ``concurrent.futures.ProcessPoolExecutor``
     whose workers are forked from the calling process (the ``fork`` start
@@ -254,18 +267,18 @@ def phase_sweep(
     slower than one serial loop. Without such an export the pool has one
     worker.
 
-    The rows do not depend on the worker count or on the order in which
+    The records do not depend on the worker count or on the order in which
     trials finish: each trial draws from its own seed, derived from
     (base seed, cell index, trial index), and the results are collected
     in submission order. A numeric breakdown in a trial (a
     ``numpy.linalg.LinAlgError``; :class:`~wstnn.tsvd.NumericError` is one)
     is logged on this module's logger, in the calling process and in trial
-    order, and counts as an unsuccessful trial and in the cell's ``errors``.
-    Any other exception is a programming error: the pending trials are
-    cancelled and the exception propagates. A bad setting raises
-    ``ValueError`` before any trial runs: a grid rank or level that the
-    task's generator or corruption operator rejects, or a config template
-    of the wrong class or that fails its ``validated(len(shape))``.
+    order, and gives an ``error`` record. Any other exception is a
+    programming error: the pending trials are cancelled and the exception
+    propagates. A bad setting raises ``ValueError`` before any trial runs:
+    a grid rank or level that the task's generator or corruption operator
+    rejects, or a config template of the wrong class or that fails its
+    ``validated(len(shape))``.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
@@ -289,8 +302,7 @@ def phase_sweep(
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         workers = min(_cpu_count(), len(cells) * grid.trials)
-    successes = [0] * len(cells)
-    errors = [0] * len(cells)
+    records = []
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -299,34 +311,42 @@ def phase_sweep(
     ) as pool:
         try:
             futures = [
-                (cell, trial, pool.submit(
-                    _run_trial, task, shape, rank, level,
+                (rank, level, trial, pool.submit(
+                    _run_trial, task, shape, rank, level, trial,
                     _trial_seed(base_seed, cell, trial), config_template,
-                    grid.success_threshold,
                 ))
                 for cell, (rank, level) in enumerate(cells)
                 for trial in range(grid.trials)
             ]
-            for cell, trial, future in futures:
+            for rank, level, trial, future in futures:
                 try:
-                    successes[cell] += bool(future.result())
+                    records.append(future.result())
                 except np.linalg.LinAlgError:
-                    rank, level = cells[cell]
-                    logger.exception(
-                        "trial failed (rank=%s, level=%s, trial=%s)", rank, level, trial
-                    )
-                    errors[cell] += 1
+                    logger.exception("trial failed (rank=%s, level=%s, trial=%s)",
+                                     rank, level, trial)
+                    records.append(TrialRecord(rank, level, trial, np.nan, 0, False, error=True))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return [
-        {
-            "rank": rank,
-            "level": level,
-            "trials": grid.trials,
-            "successes": successes[cell],
-            "errors": errors[cell],
-            "rate": successes[cell] / grid.trials,
-        }
-        for cell, (rank, level) in enumerate(cells)
-    ]
+    return records
+
+
+def phase_sweep(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: int = 0,
+                config_template: LrtcConfig | TrpcaConfig | None = None) -> list[dict]:
+    """Success rate per (rank, level) cell, counted from the records of
+    :func:`phase_trials` with the same arguments: one row dict with keys
+    rank, level, trials, successes, errors, rate per cell, in grid order.
+    A trial succeeds when its RSE is below ``grid.success_threshold``."""
+    return _rows(grid, phase_trials(grid, task, shape, base_seed, config_template))
+
+
+def _rows(grid: PhaseGrid, records: list[TrialRecord]) -> list[dict]:
+    rows = []
+    for rank in grid.ranks:
+        for level in grid.levels:
+            cell, records = records[:grid.trials], records[grid.trials:]
+            successes = sum(r.rse < grid.success_threshold for r in cell)
+            rows.append({"rank": rank, "level": level, "trials": grid.trials,
+                         "successes": successes, "errors": sum(r.error for r in cell),
+                         "rate": successes / grid.trials})
+    return rows

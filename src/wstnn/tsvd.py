@@ -203,13 +203,13 @@ def tnn(x: np.ndarray) -> float:
 
 
 def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
-    """Tensor singular value thresholding, the prox of ``tau * tnn``.
+    """Tensor singular value thresholding, the prox of ``(tau / n3) * tnn``.
 
     Shrinks the singular values of every Fourier slice by ``tau`` (thin
-    SVDs; the zero-padded part of a full factorization cannot survive
-    shrinkage) and transforms back.
+    SVDs; a full factorization's zero-padded part cannot survive shrinkage)
+    and transforms back. :func:`tnn` sums all n3 slices, hence the 1 / n3.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
     zf = _slices_first(dft_tubes(z))

@@ -5,7 +5,7 @@ full-FFT references transform every tube with ``np.fft.fft`` and work on
 all n3 Fourier slices, the textbook form of the half-spectrum code in
 ``wstnn.tsvd``. The serial phase sweep runs every trial in turn in the
 calling process, the reference for the worker pool of
-``wstnn.synth.phase_sweep``.
+``wstnn.synth.phase_trials``.
 """
 
 import numpy as np
@@ -78,35 +78,21 @@ def full_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     return _real_inverse(np.array(slices))
 
 
-def phase_sweep_serial(grid, task, shape, base_seed=0, config_template=None):
-    """``synth.phase_sweep`` as one loop over cells and trials, with the
+def phase_trials_serial(grid, task, shape, base_seed=0, cfg=None):
+    """``synth.phase_trials`` as one loop over cells and trials, with the
     same trial functions and per-trial seeds."""
-    if task not in ("complete", "rpca"):
-        raise ValueError(f"unknown task {task!r}")
-    run = synth._run_completion_trial if task == "complete" else synth._run_rpca_trial
-    rows = []
-    cell = 0
-    for rank in grid.ranks:
-        for level in grid.levels:
-            successes = errors = 0
-            for trial in range(grid.trials):
-                seed = synth._trial_seed(base_seed, cell, trial)
-                try:
-                    ok = run(shape, rank, level, seed, config_template,
-                             grid.success_threshold)
-                except np.linalg.LinAlgError:
-                    ok = False
-                    errors += 1
-                successes += bool(ok)
-            rows.append(
-                {
-                    "rank": rank,
-                    "level": level,
-                    "trials": grid.trials,
-                    "successes": successes,
-                    "errors": errors,
-                    "rate": successes / grid.trials,
-                }
-            )
-            cell += 1
-    return rows
+    records = []
+    cells = [(rank, level) for rank in grid.ranks for level in grid.levels]
+    for cell, (rank, level) in enumerate(cells):
+        for trial in range(grid.trials):
+            seed = synth._trial_seed(base_seed, cell, trial)
+            try:
+                records.append(synth._run_trial(task, shape, rank, level, trial, seed, cfg))
+            except np.linalg.LinAlgError:
+                records.append(synth.TrialRecord(rank, level, trial, np.nan, 0, False, True))
+    return records
+
+
+def phase_sweep_serial(grid, task, shape, base_seed=0, cfg=None):
+    """``synth.phase_sweep`` rows, counted from :func:`phase_trials_serial`."""
+    return synth._rows(grid, phase_trials_serial(grid, task, shape, base_seed, cfg))

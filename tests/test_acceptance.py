@@ -179,25 +179,16 @@ def run_lrtc_cells():
 
 
 def run_dominance():
-    shape = (15, 15, 15, 15)
-    uniform_cfg = solvers.LrtcConfig(alpha=ntubal.weights_uniform(4), tau=10.0)
-    one_hot = np.zeros(6)
-    one_hot[0] = 1.0
-    baseline_cfg = solvers.LrtcConfig(alpha=one_hot, tau=10.0)
-    rows = []
-    wins = {"wstnn": 0, "baseline": 0}
-    for trial in range(10):
-        seed = np.random.SeedSequence(entropy=RNG_BASE + 200, spawn_key=(0, trial))
-        gen_seed, mask_seed = seed.spawn(2)
-        truth = synth.gen_cp_tensor(synth.CpSpec(shape, 2, gen_seed))
-        mask = synth.sample_mask(shape, 0.4, mask_seed)
-        f = np.where(mask, truth, 0.0)
-        errors = {}
-        for name, cfg in (("wstnn", uniform_cfg), ("baseline", baseline_cfg)):
-            xhat, _ = solvers.lrtc_solve(f, mask, cfg)
-            errors[name] = synth.rse(xhat, truth)
-            wins[name] += errors[name] < 1e-3
-        rows.append([trial, repr(errors["wstnn"]), repr(errors["baseline"])])
+    # uniform weights against all weight on mode pair (1, 2)
+    grid = synth.PhaseGrid(ranks=[2], levels=[0.4], trials=10)
+    wstnn, baseline = (
+        synth.phase_trials(grid, "complete", (15, 15, 15, 15), RNG_BASE + 200,
+                           solvers.LrtcConfig(alpha=alpha, tau=10.0))
+        for alpha in (ntubal.weights_uniform(4), np.eye(6)[0])
+    )
+    wins = {name: sum(r.rse < grid.success_threshold for r in records)
+            for name, records in (("wstnn", wstnn), ("baseline", baseline))}
+    rows = [[w.trial, repr(w.rse), repr(b.rse)] for w, b in zip(wstnn, baseline)]
     return wins, _csv_bytes(["trial", "rse_wstnn", "rse_baseline"], rows)
 
 
@@ -206,23 +197,12 @@ def run_trpca_cells():
     alpha = ntubal.weights_uniform(3)
     lam = solvers.default_lambda(shape, alpha)
     cfg = solvers.TrpcaConfig(alpha=alpha, tau=20.0, lam=lam, rel_tol=1e-6)
-    rows = []
-    successes = 0
-    residual_ok = True
-    for trial in range(10):
-        seed = np.random.SeedSequence(entropy=RNG_BASE + 300, spawn_key=(0, trial))
-        gen_seed, noise_seed = seed.spawn(2)
-        truth = synth.gen_cp_tensor(synth.CpSpec(shape, 2, gen_seed))
-        noisy = synth.add_salt_pepper(truth, 0.1, noise_seed)
-        low, sparse, rep = solvers.trpca_solve(noisy, cfg)
-        err = synth.rse(low, truth)
-        resid = rep.constraint_residual / frobenius_norm(noisy)
-        successes += err < 1e-3
-        residual_ok &= resid < 1e-6
-        rows.append([trial, repr(err), repr(resid)])
-    return (successes, residual_ok, lam), _csv_bytes(
-        ["trial", "rse", "rel_residual"], rows
-    )
+    grid = synth.PhaseGrid(ranks=[2], levels=[0.1], trials=10)
+    records = synth.phase_trials(grid, "rpca", shape, RNG_BASE + 300, cfg)
+    successes = sum(r.rse < grid.success_threshold for r in records)
+    residual_ok = all(r.residual < 1e-6 for r in records)
+    rows = [[r.trial, repr(r.rse), repr(r.residual)] for r in records]
+    return (successes, residual_ok, lam), _csv_bytes(["trial", "rse", "rel_residual"], rows)
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,10 @@ class TestSoftThreshold:
         x = np.random.default_rng(0).standard_normal((3, 3))
         np.testing.assert_array_equal(solvers.soft_threshold(x, 0.0), x)
 
-    def test_negative_threshold_rejected(self):
+    @pytest.mark.parametrize("xi", [-1.0, nan])
+    def test_negative_threshold_rejected(self, xi):
         with pytest.raises(ValueError):
-            solvers.soft_threshold(np.zeros(3), -1.0)
+            solvers.soft_threshold(np.zeros(3), xi)
 
 
 class TestDefaultLambda:

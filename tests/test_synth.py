@@ -1,14 +1,25 @@
 import ctypes
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import phase_sweep_serial
+from oracles import phase_sweep_serial, phase_trials_serial
 from wstnn import solvers, synth
 from wstnn.ntubal import estimate_n_tubal_rank, weights_uniform
 from wstnn.tsvd import NumericError
+
+
+def assert_records_match(got, want):
+    """Equal records, RSE and residual to 1e-9 relative (NaN matches NaN)."""
+    (exact, close), (exact_want, close_want) = (
+        ([replace(r, rse=0.0, residual=0.0) for r in records],
+         [(r.rse, np.nan if r.residual is None else r.residual) for r in records])
+        for records in (got, want))
+    assert exact == exact_want
+    np.testing.assert_allclose(close, close_want, rtol=1e-9)
 
 
 class TestCpSpec:
@@ -151,9 +162,9 @@ class TestPhaseSweep:
             synth.phase_sweep(synth.PhaseGrid(), "denoise", (5, 5, 5))
 
     def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
-        def trial(shape, rank, level, seed, cfg, threshold):
+        def trial(shape, rank, level, index, seed, cfg):
             (tmp_path / f"{rank}-{seed.spawn_key}").touch()
-            return True
+            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1, 2, 6], levels=[0.5], trials=2)
@@ -179,9 +190,9 @@ class TestPhaseSweep:
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, levels, cfg):
-        def trial(shape, rank, level, seed, cfg, threshold):
+        def trial(shape, rank, level, index, seed, cfg):
             (tmp_path / f"{level}-{seed.spawn_key}").touch()
-            return True
+            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         monkeypatch.setattr(synth, "_run_rpca_trial", trial)
@@ -227,13 +238,12 @@ class TestPhaseSweep:
         # the first trial raises at once, every other one takes 50 ms and
         # leaves a file behind; 40 trials on two workers would take a
         # second to run out
-        def trial(shape, rank, level, seed, cfg, threshold):
-            _, index = seed.spawn_key
+        def trial(shape, rank, level, index, seed, cfg):
             if index == 0:
                 raise TypeError("bug")
             time.sleep(0.05)
             (tmp_path / f"{index}").touch()
-            return True
+            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=40)
@@ -259,17 +269,18 @@ class TestPhaseSweep:
             cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=3.0)
         args = (grid, task, (10, 10, 10), base_seed, cfg)
         assert synth.phase_sweep(*args) == phase_sweep_serial(*args)
+        assert_records_match(synth.phase_trials(*args), phase_trials_serial(*args))
 
     def test_errors_match_serial_reference(self, monkeypatch, caplog):
         # each trial's seed picks its outcome: a numeric breakdown of
         # either kind, a success, or a failure
-        def trial(shape, rank, level, seed, cfg, threshold):
+        def trial(shape, rank, level, index, seed, cfg):
             outcome = seed.generate_state(1)[0] % 4
             if outcome == 0:
                 raise NumericError("breakdown")
             if outcome == 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return outcome == 2
+            return synth.TrialRecord(rank, level, index, outcome - 2.0, 3, outcome == 2)
 
         monkeypatch.setattr(synth, "_run_rpca_trial", trial)
         grid = synth.PhaseGrid(ranks=[1, 2, 2], levels=[0.1, 0.2], trials=5)
@@ -286,8 +297,8 @@ class TestPhaseSweep:
             pytest.skip("no OpenBLAS thread controls found in numpy's bundled libraries")
         get_threads.restype = ctypes.c_int
 
-        def trial(shape, rank, level, seed, cfg, threshold):
-            return get_threads() == 1
+        def trial(shape, rank, level, index, seed, cfg):
+            return synth.TrialRecord(rank, level, index, float(get_threads() != 1), 1, True)
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=4)

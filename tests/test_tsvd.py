@@ -313,9 +313,10 @@ class TestTSvt:
         x = random_tensor((4, 3, 5), 22)
         np.testing.assert_allclose(tsvd.t_svt(x, 0.0), x, atol=1e-12)
 
-    def test_negative_tau_rejected(self):
+    @pytest.mark.parametrize("tau", [-0.1, float("nan")])
+    def test_negative_tau_rejected(self, tau):
         with pytest.raises(ValueError):
-            tsvd.t_svt(np.zeros((2, 2, 2)), -0.1)
+            tsvd.t_svt(np.zeros((2, 2, 2)), tau)
 
     def test_large_tau_annihilates(self):
         x = random_tensor((3, 3, 3), 23)
