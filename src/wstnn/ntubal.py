@@ -54,8 +54,6 @@ def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndar
     x = np.asarray(x)
     if x.ndim < 3:
         raise ValueError("N-tubal rank requires an order >= 3 tensor")
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1)")
     return np.array(
         [tubal_rank(mode_k1k2_unfold(x, p), rel_threshold) for p in mode_pairs(x.ndim)],
         dtype=np.int64,
@@ -63,7 +61,7 @@ def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndar
 
 
 def wstnn(x: np.ndarray, alpha: np.ndarray) -> float:
-    """Weighted sum of the TNN of each mode-pair unfolding."""
+    """Weighted sum of the tnn of each mode-pair unfolding: the completion objective."""
     x = np.asarray(x)
     alpha = validate_weights(alpha, x.ndim)
     return float(

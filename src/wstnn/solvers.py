@@ -133,7 +133,8 @@ def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:
 
 
 def default_lambda(shape: tuple[int, ...], alpha: np.ndarray) -> float:
-    """Recommended sparsity weight: sum over mode pairs of
+    """Recommended weight ``lam`` of :func:`trpca_solve`'s objective
+    ``ntubal.wstnn(low, alpha) + lam * ||sparse||_1``: sum over mode pairs of
     alpha / sqrt(max(n_k1, n_k2) * d), d the product of remaining extents."""
     shape = tuple(shape)
     alpha = validate_weights(alpha, len(shape))

@@ -187,28 +187,29 @@ def fourier_singular_values(x: np.ndarray) -> np.ndarray:
 
 def tubal_rank(x: np.ndarray, rel_threshold: float | None = None) -> int:
     """Largest number of Fourier singular values of one frontal slice that
-    exceed ``rel_threshold`` times the largest singular value across all
-    slices; by default ``rel_threshold`` is ``max(shape) * eps``."""
+    exceed ``rel_threshold`` (in (0, 1), by default ``max(shape) * eps``)
+    times the largest singular value across all slices."""
     x = _require_3way(x)
-    sv = fourier_singular_values(x)
     if rel_threshold is None:
         rel_threshold = max(x.shape) * np.finfo(np.float64).eps
+    if not 0.0 < rel_threshold < 1.0:
+        raise ValueError("rel_threshold must lie in (0, 1)")
+    sv = fourier_singular_values(x)
     cutoff = rel_threshold * float(sv.max(initial=0.0))
     return int((sv > cutoff).sum(axis=1).max(initial=0))
 
 
 def tnn(x: np.ndarray) -> float:
-    """Tensor nuclear norm: sum of singular values of all Fourier slices."""
-    return float(fourier_singular_values(x).sum())
+    """Lu et al.'s tensor nuclear norm: the mean nuclear norm of the Fourier slices."""
+    return float(fourier_singular_values(x).sum(axis=1).mean())
 
 
 def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
-    """Tensor singular value thresholding, the prox of ``(tau / n3) * tnn``.
+    """Tensor singular value thresholding, the prox of ``tau * tnn``.
 
     Shrinks the singular values of every Fourier slice by ``tau`` (thin
     SVDs; a full factorization's zero-padded part cannot survive shrinkage)
-    and transforms back. :func:`tnn` sums all n3 slices, hence the 1 / n3.
-    """
+    and transforms back."""
     if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)

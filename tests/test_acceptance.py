@@ -112,17 +112,15 @@ def test_criterion_04_t_svt_optimality(capsys):
         z = rng.standard_normal((5, 5, 4))
         ok &= frobenius_norm(tsvd.t_svt(z, 0.0) - z) <= 1e-10
         sigma_max = tsvd.fourier_singular_values(z).max()
-        n3 = z.shape[2]
         for frac in (0.1, 0.5, 1.1):
             tau = frac * sigma_max
             w = tsvd.t_svt(z, tau)
-            # prox objective: tau/n3 * tnn + 0.5||.-z||^2 (tnn sums all n3
-            # Fourier slices; Parseval supplies the 1/n3)
-            best = tau / n3 * tsvd.tnn(w) + 0.5 * frobenius_norm(w - z) ** 2
+            # prox objective: tau * tnn + 0.5||.-z||^2
+            best = tau * tsvd.tnn(w) + 0.5 * frobenius_norm(w - z) ** 2
             scales = 10.0 ** rng.uniform(-3, -1, size=500)
             for scale in scales:
                 pert = w + scale * rng.standard_normal(w.shape)
-                obj = tau / n3 * tsvd.tnn(pert) + 0.5 * frobenius_norm(pert - z) ** 2
+                obj = tau * tsvd.tnn(pert) + 0.5 * frobenius_norm(pert - z) ** 2
                 ok &= obj >= best - 1e-9
     report(capsys, 4, "t-SVT prox optimality", ok)
 

@@ -3,9 +3,9 @@ import pytest
 from numpy import inf, nan
 
 from wstnn import solvers
-from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform
+from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform, wstnn
 from wstnn.synth import CpSpec, gen_cp_tensor, rse, sample_mask
-from wstnn.tensor_ops import frobenius_norm
+from wstnn.tensor_ops import frobenius_norm, mode_pairs
 
 
 class TestSoftThreshold:
@@ -108,10 +108,11 @@ class TestLrtc:
         assert report.iterations == 1
         assert report.converged
 
-    def test_empty_mask_returns_zeros(self):
-        f = np.random.default_rng(1).standard_normal((5, 4, 3))
+    @pytest.mark.parametrize("shape", [(5, 4, 3)] + DEGENERATE_SHAPES, ids=_shape_id)
+    def test_empty_mask_returns_zeros(self, shape):
+        f = np.random.default_rng(1).standard_normal(shape)
         omega = np.zeros_like(f, dtype=bool)
-        cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0)
+        cfg = solvers.LrtcConfig(alpha=weights_uniform(len(shape)), tau=10.0)
         xhat, report = solvers.lrtc_solve(f, omega, cfg)
         np.testing.assert_array_equal(xhat, 0.0)
         assert report.iterations == 1
@@ -156,6 +157,28 @@ class TestLrtc:
         assert report.final_rel_change < cfg.rel_tol
         assert report.converged
         assert report.wall_time > 0
+
+    # full-rank data, so the weights decide the answer: the solve under alpha
+    # must score no worse on wstnn(., alpha) than the solve under weights
+    # proportional to alpha_i * d_i, d_i the product of the other extents;
+    # slower penalty growth lets ADMM converge tightly enough to rank them
+    @pytest.mark.parametrize("shape, sr, seed", [((3, 4, 10), 0.5, 1), ((3, 4, 5, 2), 0.4, 4)],
+                             ids=["3-way", "4-way"])
+    def test_minimises_wstnn(self, monkeypatch, shape, sr, seed):
+        monkeypatch.setattr(solvers.LrtcConfig, "gamma", 1.02)
+        rng = np.random.default_rng(seed)
+        truth = rng.standard_normal(shape)
+        mask = sample_mask(shape, sr, seed)
+        alpha = weights_uniform(len(shape))
+        d = np.array([np.prod(shape) / (shape[k1 - 1] * shape[k2 - 1])
+                      for k1, k2 in mode_pairs(len(shape))])
+
+        def solve(weights):
+            cfg = solvers.LrtcConfig(alpha=weights, tau=0.5, p_max=20000, rel_tol=1e-12)
+            return solvers.lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)[0]
+
+        scaled = alpha * d / (alpha * d).sum()
+        assert wstnn(solve(alpha), alpha) <= wstnn(solve(scaled), alpha)
 
     def test_zero_weight_pair_skipped(self):
         x = gen_cp_tensor(CpSpec((15, 15, 15), 1, seed=7))

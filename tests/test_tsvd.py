@@ -279,19 +279,23 @@ class TestRanks:
             )
         assert tsvd.tubal_rank(x) == r
 
+    @pytest.mark.parametrize("rel_threshold", [np.nan, -1.0, 0.0, 1.5])
+    def test_tubal_rank_rejects_bad_threshold(self, rel_threshold):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            tsvd.tubal_rank(random_tensor((4, 5, 6), 28), rel_threshold)
+
 
 class TestTnn:
     def test_zero(self):
         assert tsvd.tnn(np.zeros((3, 4, 5))) == 0.0
 
-    def test_delta_slice_equals_n3_nuclear_norm(self):
+    def test_delta_slice_equals_nuclear_norm(self):
         # only the first frontal slice is nonzero: every Fourier slice
-        # equals A, so tnn = n3 * ||A||_*
+        # equals A, so their mean nuclear norm is ||A||_*
         a = random_tensor((4, 3), 19)
-        n3 = 6
-        x = np.zeros((4, 3, n3))
+        x = np.zeros((4, 3, 6))
         x[:, :, 0] = a
-        expected = n3 * np.linalg.svd(a, compute_uv=False).sum()
+        expected = np.linalg.svd(a, compute_uv=False).sum()
         assert tsvd.tnn(x) == pytest.approx(expected, rel=1e-12)
 
     def test_circular_shift_invariance(self):
@@ -302,10 +306,10 @@ class TestTnn:
     def test_matches_tsvd_tubes(self):
         x = random_tensor((4, 5, 3), 21)
         s = tsvd.t_svd(x).s
-        # tnn is the sum of the Fourier-domain diagonal entries
+        # tnn is the mean over slices of the Fourier-domain diagonal sums
         sf = tsvd.dft_tubes(s)
         total = sum(np.diagonal(sf[:, :, i]).real.sum() for i in range(3))
-        assert tsvd.tnn(x) == pytest.approx(total, rel=1e-10)
+        assert tsvd.tnn(x) == pytest.approx(total / 3, rel=1e-10)
 
 
 class TestTSvt:
@@ -332,18 +336,18 @@ class TestTSvt:
         np.testing.assert_allclose(sv_out, np.maximum(sv_in - tau, 0.0), atol=1e-10)
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 1.1])
-    def test_prox_optimality(self, frac):
-        # t_svt(z, tau) minimizes tau/n3 * tnn(w) + 0.5*||w - z||_F^2 (tnn
-        # sums all n3 Fourier slices, Parseval supplies the 1/n3); no random
+    @settings(max_examples=25, deadline=None)
+    @given(shape=small_shapes, seed=seeds)
+    def test_prox_optimality(self, frac, shape, seed):
+        # t_svt(z, tau) minimizes tau * tnn(w) + 0.5*||w - z||_F^2; no random
         # perturbation of the minimizer may score better
-        rng = np.random.default_rng(25)
-        z = rng.standard_normal((5, 4, 3))
-        n3 = z.shape[2]
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape)
         tau = frac * tsvd.fourier_singular_values(z).max()
         w = tsvd.t_svt(z, tau)
 
         def objective(c):
-            return tau / n3 * tsvd.tnn(c) + 0.5 * frobenius_norm(c - z) ** 2
+            return tau * tsvd.tnn(c) + 0.5 * frobenius_norm(c - z) ** 2
 
         best = objective(w)
         for _ in range(100):
