@@ -33,12 +33,9 @@ class CliError(Exception):
 
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
-        shape = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise CliError(f"invalid shape {text!r}; expected e.g. 30,30,30")
-    if len(shape) < 3 or any(n < 1 for n in shape):
-        raise CliError(f"shape must have >= 3 positive extents, got {text!r}")
-    return shape
 
 
 def _parse_tau(text: str) -> float | np.ndarray:
@@ -135,7 +132,7 @@ def _cmd_rpca(args) -> int:
     tensor_io.write_tensor(args.out_low, low)
     tensor_io.write_tensor(args.out_sparse, sparse)
     return _finish_solve(args, report, "split",
-                         f"constraint residual {report.constraint_residual:.3e}, ")
+                         f"relative constraint residual {report.constraint_residual:.3e}, ")
 
 
 def _cmd_rank(args) -> int:
@@ -184,8 +181,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tsvd(args) -> int:
     x = tensor_io.read_tensor(args.input)
-    if x.ndim != 3:
-        raise CliError("tsvd requires a three-way tensor")
     _print_config("tsvd", {"input": args.input, "shape": x.shape})
     factors = t_svd(x)
     tensor_io.write_tensor(args.out_u, factors.u)
@@ -214,7 +209,8 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
     parser.add_argument("--eta", type=float,
                         default=_default(ntubal.weights_rank_aware, "eta"),
                         help="balance parameter for rank-aware weights")
-    parser.add_argument("--theta", type=float, default=0.001,
+    parser.add_argument("--theta", type=float,
+                        default=_default(ntubal.weights_spectral, "theta"),
                         help="first-pair weight parameter for spectral weights")
     _add_threshold_arg(parser)
     parser.add_argument("--tau", default=str(config.tau),

@@ -96,6 +96,8 @@ def weights_rank_aware(
     rank = np.asarray(rank, dtype=np.float64)
     if rank.shape != (len(pairs),):
         raise ValueError("rank vector length does not match tensor order")
+    if not np.isfinite(rank).all():
+        raise ValueError(f"ranks must be finite, got {rank.tolist()}")
     mins = np.array([min(shape[k1 - 1], shape[k2 - 1]) for k1, k2 in pairs], float)
     deficits = np.maximum((mins - rank) / mins, 0.0)
     total = deficits.sum()
@@ -106,7 +108,7 @@ def weights_rank_aware(
     return scores / scores.sum()
 
 
-def weights_spectral(theta: float) -> np.ndarray:
+def weights_spectral(theta: float = 0.001) -> np.ndarray:
     """Three-way weights (theta, 1, 1)/(2 + theta) for data with one
     strongly correlated mode (e.g. a spectral axis)."""
     if not 0 <= theta < np.inf:

@@ -21,6 +21,7 @@ data. Pairs with zero weight are skipped entirely.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -49,8 +50,6 @@ def _validated(cfg, ndim: int):
     """Copy of ``cfg`` with checked weights and one tau value per mode pair
     (a scalar tau is broadcast)."""
     alpha = validate_weights(cfg.alpha, ndim)
-    if not (alpha > 0).any():
-        raise ValueError("at least one mode-pair weight must be positive")
     n_pairs = pair_count(ndim)
     tau = np.asarray(cfg.tau, dtype=np.float64)
     if tau.ndim == 0:
@@ -59,8 +58,8 @@ def _validated(cfg, ndim: int):
         raise ValueError(f"tau must be a scalar or length-{n_pairs} vector")
     if not ((tau > 0) & (tau < np.inf)).all():
         raise ValueError(f"tau must be positive and finite elementwise, got {tau.tolist()}")
-    if cfg.p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    if not (isinstance(cfg.p_max, numbers.Integral) and cfg.p_max >= 1):
+        raise ValueError(f"p_max must be an integer >= 1, got {cfg.p_max!r}")
     if not np.isfinite(cfg.rel_tol):
         raise ValueError(f"rel_tol must be finite, got {cfg.rel_tol!r}")
     return replace(cfg, alpha=alpha, tau=tau)
@@ -110,6 +109,7 @@ class TrpcaConfig:
 class SolveReport:
     rel_change_trace: list[float] = field(default_factory=list)
     wall_time: float = 0.0
+    #: robust PCA's final ||x - low - sparse|| / ||x|| (0.0 at x = 0); None for completion
     constraint_residual: float | None = None
     #: True when the relative change fell below rel_tol, False when the
     #: solve ran out of p_max sweeps first
@@ -222,8 +222,8 @@ def trpca_solve(
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Split ``x`` into a low-WSTNN component and a sparse component.
 
-    The split constraint x = low + sparse is enforced only in the limit;
-    the final relative residual is recorded in the report.
+    The split constraint x = low + sparse is enforced only in the limit; the
+    report's ``constraint_residual`` is the final residual relative to ``x``.
     """
     start = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
@@ -243,5 +243,6 @@ def trpca_solve(
         return low
 
     low, report = _admm(np.zeros_like(x), cfg, combine, start)
-    report.constraint_residual = frobenius_norm(x - low - sparse)
+    norm = frobenius_norm(x)
+    report.constraint_residual = frobenius_norm(x - low - sparse) / norm if norm > 0 else 0.0
     return low, sparse, report

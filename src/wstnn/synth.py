@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -68,6 +69,10 @@ class CpSpec:
         self.shape = tuple(int(n) for n in self.shape)
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
+        if min(self.shape) < 1:
+            raise ValueError(f"extents must be positive, got {self.shape}")
+        if not isinstance(self.cp_rank, numbers.Integral):
+            raise ValueError(f"cp_rank must be an integer, got {self.cp_rank!r}")
         if not 1 <= self.cp_rank <= min(self.shape):
             raise ValueError(f"cp_rank {self.cp_rank} must lie in [1, min extent] "
                              f"for shape {self.shape}")
@@ -178,8 +183,8 @@ class PhaseGrid:
     def __post_init__(self):
         if not self.ranks or not self.levels:
             raise ValueError("ranks and levels must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not 0.0 < self.success_threshold < np.inf:
             raise ValueError("success_threshold must be positive and finite")
 
@@ -190,9 +195,9 @@ def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One sweep trial; ``residual`` is the robust-PCA constraint residual
-    relative to the noisy input. A numeric breakdown reads ``error``, RSE
-    NaN and 0 sweeps."""
+    """One sweep trial; ``residual`` is the robust-PCA solve's relative
+    ``constraint_residual``. A numeric breakdown reads ``error``, RSE NaN
+    and 0 sweeps."""
 
     rank: int
     level: float
@@ -221,7 +226,7 @@ def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
     cfg = cfg_template or TrpcaConfig(alpha=alpha, lam=default_lambda(shape, alpha))
     low, _, report = trpca_solve(noisy, cfg)
     return TrialRecord(rank, nl, trial, rse(low, truth), report.iterations, report.converged,
-                       residual=report.constraint_residual / frobenius_norm(noisy))
+                       residual=report.constraint_residual)
 
 
 def _run_trial(task, shape, rank, level, trial, seed, cfg_template) -> TrialRecord:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import inspect
+import re
 import time
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestCli:
             np.testing.assert_array_equal(out, outputs[0])
 
     @pytest.mark.parametrize("tau", [["--tau", "10"], []], ids=["tau10", "default"])
-    def test_rpca_splits(self, tmp_path, tau):
+    def test_rpca_splits(self, tmp_path, capsys, tau):
         from wstnn.synth import add_salt_pepper, rse
 
         truth = gen_cp_tensor(CpSpec((20, 20, 20), 2, seed=4))
@@ -152,6 +153,8 @@ class TestCli:
         ] + tau)
         assert rc == 0
         assert rse(tensor_io.read_tensor(low_p), truth) < 1e-3
+        residual = re.search(r"relative constraint residual (\S+),", capsys.readouterr().out)
+        assert float(residual.group(1)) < 1e-5
 
     def test_sweep_deterministic_csv(self, tmp_path):
         args = [

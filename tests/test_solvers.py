@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy import inf, nan
+from test_tsvd import small_shapes
 
 from wstnn import solvers
 from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform, wstnn
@@ -78,11 +81,14 @@ class TestConfigValidation:
         lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1, tau=nan).validated(3),
         lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=nan),
         lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=inf),
+        lambda: weights_rank_aware((5, 5, 5), [nan, 1, 1]),
+        lambda: weights_rank_aware((5, 5, 5), [1, inf, 1]),
         lambda: weights_spectral(nan),
         lambda: weights_spectral(inf),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
-        "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "theta-nan", "theta-inf",
+        "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
+        "theta-nan", "theta-inf",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):
@@ -95,6 +101,22 @@ DEGENERATE_SHAPES = [(1, 1, 1), (1, 5, 4), (5, 5, 1), (3, 1, 4, 2)]
 
 def _shape_id(shape):
     return "x".join(map(str, shape))
+
+
+# both solvers on random data of shapes with unit extents and n3 = 1
+@settings(max_examples=25, deadline=None)
+@given(shape=small_shapes, sr=st.floats(0.05, 1.0), seed=st.integers(0, 2**31))
+def test_degenerate_shapes_solve(shape, sr, seed):
+    x = np.random.default_rng(seed).standard_normal(shape)
+    alpha = weights_uniform(3)
+    cfg = solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(shape, alpha))
+    low, sparse, report = solvers.trpca_solve(x, cfg)
+    assert np.isfinite(low).all() and np.isfinite(sparse).all()
+    assert report.constraint_residual == frobenius_norm(x - low - sparse) / frobenius_norm(x)
+    mask = sample_mask(shape, sr, seed)
+    xhat, _ = solvers.lrtc_solve(np.where(mask, x, 0.0), mask, solvers.LrtcConfig(alpha=alpha))
+    assert np.isfinite(xhat).all()
+    np.testing.assert_array_equal(xhat[mask], x[mask])
 
 
 class TestLrtc:
@@ -207,6 +229,7 @@ class TestTrpca:
         low, sparse, report = solvers.trpca_solve(np.zeros(shape), cfg)
         np.testing.assert_array_equal(low, 0.0)
         np.testing.assert_array_equal(sparse, 0.0)
+        assert report.constraint_residual == 0.0
         assert report.iterations == 1
         assert report.converged
 
@@ -234,7 +257,7 @@ class TestTrpca:
         )
         low, sparse, report = solvers.trpca_solve(noisy, cfg)
         assert rse(low, truth) < 1e-3
-        assert report.constraint_residual < 1e-6 * frobenius_norm(noisy)
+        assert report.constraint_residual < 1e-6
 
     def test_stopping_is_scale_invariant(self):
         # the first sweep moves away from a zero iterate; its relative
@@ -250,10 +273,11 @@ class TestTrpca:
             cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=scale, lam=lam)
             low, _, report = solvers.trpca_solve(scale * noisy, cfg)
             assert report.rel_change_trace[0] == np.inf
-            runs.append((report.iterations, rse(low, scale * truth)))
-        (iters, err), (iters_small, err_small) = runs
+            runs.append((report.iterations, rse(low, scale * truth), report.constraint_residual))
+        (iters, err, res), (iters_small, err_small, res_small) = runs
         assert iters_small == iters > 1
         assert err_small == pytest.approx(err, rel=1e-9)
+        assert res_small == pytest.approx(res, rel=1e-9)
         assert err < 0.1
 
     def test_nonfinite_rejected(self):

@@ -32,6 +32,12 @@ class TestCpSpec:
             synth.CpSpec((5, 5, 5), 0)
         with pytest.raises(ValueError):
             synth.CpSpec((5, 5, 5), 6)
+        with pytest.raises(ValueError):
+            synth.CpSpec((5, 5, 5), 1.5)
+
+    def test_rejects_zero_extent(self):
+        with pytest.raises(ValueError, match="extents must be positive"):
+            synth.CpSpec((5, 0, 5), 1)
 
 
 class TestGenCpTensor:
@@ -184,9 +190,10 @@ class TestPhaseSweep:
         ("complete", [0.5], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1)),
         ("rpca", [0.1], solvers.LrtcConfig(alpha=weights_uniform(3))),
         ("rpca", [0.1], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=float("nan"))),
+        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), p_max=2.5)),
     ], ids=[
         "sr-1.5", "sr-nan", "nl-1.0", "tau-nan", "alpha-nan", "alpha-4way",
-        "complete-trpca-template", "rpca-lrtc-template", "lam-nan",
+        "complete-trpca-template", "rpca-lrtc-template", "lam-nan", "p_max-2.5",
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, levels, cfg):
@@ -206,6 +213,8 @@ class TestPhaseSweep:
             synth.PhaseGrid(ranks=[])
         with pytest.raises(ValueError):
             synth.PhaseGrid(trials=0)
+        with pytest.raises(ValueError):
+            synth.PhaseGrid(trials=1.5)
         with pytest.raises(ValueError):
             synth.PhaseGrid(success_threshold=float("nan"))
 
