@@ -9,7 +9,9 @@ Subcommands:
   tsvd      write the t-SVD factors of a three-way tensor to files
 
 Every run prints its fully resolved configuration for reproducibility.
-Exit code is 0 on success and 1 with a diagnostic on any error.
+The exit code is 0 on success, 1 with one ``error:`` line when the library
+or a file operation rejects the run, and 2 with argparse's usage message
+when the command line is malformed.
 """
 
 from __future__ import annotations
@@ -27,25 +29,19 @@ from .tensor_ops import mode_k_unfold, mode_pairs
 from .tsvd import t_svd, tubal_rank
 
 
-class CliError(Exception):
-    pass
+def _comma_list(convert):
+    """argparse type for a comma-separated list, e.g. 30,30,30."""
+    def parse(text: str) -> list:
+        return [convert(tok) for tok in text.split(",")]
+    parse.__name__ = f"{convert.__name__}-list"  # argparse's "invalid int-list value"
+    return parse
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise CliError(f"invalid shape {text!r}; expected e.g. 30,30,30")
+def _auto_or_float(text: str) -> str | float:
+    return text if text == "auto" else float(text)
 
 
-def _parse_tau(text: str) -> float | np.ndarray:
-    """A scalar or a comma-separated vector; the solver config checks
-    that a vector has one value per mode pair."""
-    try:
-        values = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliError(f"invalid tau {text!r}")
-    return values[0] if len(values) == 1 else np.asarray(values)
+_auto_or_float.__name__ = "auto-or-float"
 
 
 def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
@@ -57,7 +53,7 @@ def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
         return ntubal.weights_rank_aware(x.shape, rank, args.eta)
     # argparse choices leave "spectral" as the only other strategy
     if ndim != 3:
-        raise CliError("spectral weights are defined for three-way tensors only")
+        raise ValueError("spectral weights are defined for three-way tensors only")
     return ntubal.weights_spectral(args.theta)
 
 
@@ -87,18 +83,17 @@ def _print_config(name: str, items: dict) -> None:
 
 def _cmd_complete(args) -> int:
     f = tensor_io.read_tensor(args.input)
-    if (args.mask is None) == (args.sr is None):
-        raise CliError("exactly one of --mask and --sr is required")
     if args.mask is not None:
         omega = tensor_io.read_tensor(args.mask) != 0.0
+        # checked before the zero fill, which would broadcast the two shapes
         if omega.shape != f.shape:
-            raise CliError("mask shape does not match input shape")
+            raise ValueError("mask shape does not match input shape")
     else:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
     # entries off the mask are unobserved, to the rank estimate as well
     f = np.where(omega, f, 0.0)
     alpha = _resolve_weights(args, f)
-    cfg = LrtcConfig(alpha=alpha, tau=_parse_tau(args.tau), p_max=args.max_iter,
+    cfg = LrtcConfig(alpha=alpha, tau=np.squeeze(args.tau), p_max=args.max_iter,
                      rel_tol=args.rel_tol).validated(f.ndim)
     _print_config("complete", {
         "input": args.input, "shape": f.shape, "weights": args.weights,
@@ -114,14 +109,8 @@ def _cmd_complete(args) -> int:
 def _cmd_rpca(args) -> int:
     x = tensor_io.read_tensor(args.input)
     alpha = _resolve_weights(args, x)
-    if args.lam == "auto":
-        lam = default_lambda(x.shape, alpha)
-    else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            raise CliError(f"--lambda must be 'auto' or a number, got {args.lam!r}")
-    cfg = TrpcaConfig(alpha=alpha, tau=_parse_tau(args.tau), lam=lam,
+    lam = default_lambda(x.shape, alpha) if args.lam == "auto" else args.lam
+    cfg = TrpcaConfig(alpha=alpha, tau=np.squeeze(args.tau), lam=lam,
                       p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.ndim)
     _print_config("rpca", {
         "input": args.input, "shape": x.shape, "weights": args.weights,
@@ -151,13 +140,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    shape = _parse_shape(args.shape)
-    grid = synth.PhaseGrid(
-        ranks=[int(r) for r in args.ranks.split(",")],
-        levels=[float(v) for v in args.levels.split(",")],
-        trials=args.trials,
-        success_threshold=args.success_threshold,
-    )
+    shape = tuple(args.shape)
+    grid = synth.PhaseGrid(ranks=args.ranks, levels=args.levels, trials=args.trials,
+                           success_threshold=args.success_threshold)
     _print_config("sweep", {
         "task": args.task, "shape": shape, "ranks": grid.ranks,
         "levels": grid.levels, "trials": grid.trials,
@@ -213,7 +198,9 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
                         default=_default(ntubal.weights_spectral, "theta"),
                         help="first-pair weight parameter for spectral weights")
     _add_threshold_arg(parser)
-    parser.add_argument("--tau", default=str(config.tau),
+    # the commands pass np.squeeze(args.tau): one value is a scalar tau, and
+    # the config checks that a vector has one value per mode pair
+    parser.add_argument("--tau", type=_comma_list(float), default=str(config.tau),
                         help="per-pair threshold: a scalar broadcast to all pairs "
                              "or a comma-separated vector")
     parser.add_argument("--max-iter", type=int, default=config.p_max)
@@ -230,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="low-rank tensor completion")
     p.add_argument("--input", required=True, help="observed tensor file")
-    p.add_argument("--mask", help="mask tensor file (nonzero = observed)")
-    p.add_argument("--sr", type=float, help="sample a random mask at this rate")
+    observed = p.add_mutually_exclusive_group(required=True)
+    observed.add_argument("--mask", help="mask tensor file (nonzero = observed)")
+    observed.add_argument("--sr", type=float, help="sample a random mask at this rate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output tensor file")
     p.add_argument("--report", help="per-iteration relative-change CSV")
@@ -240,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rpca", help="robust tensor PCA (low rank + sparse)")
     p.add_argument("--input", required=True)
-    p.add_argument("--lambda", dest="lam", default="auto",
+    p.add_argument("--lambda", dest="lam", type=_auto_or_float, default="auto",
                    help="sparsity weight; 'auto' uses the size-based default")
     p.add_argument("--out-low", required=True)
     p.add_argument("--out-sparse", required=True)
@@ -255,10 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="synthetic phase-transition sweep")
     p.add_argument("--task", required=True, choices=["complete", "rpca"])
-    p.add_argument("--shape", default="30,30,30")
+    p.add_argument("--shape", type=_comma_list(int), default="30,30,30")
     grid = synth.PhaseGrid()
-    p.add_argument("--ranks", default=",".join(map(str, grid.ranks)))
-    p.add_argument("--levels", default=",".join(map(str, grid.levels)))
+    p.add_argument("--ranks", type=_comma_list(int), default=",".join(map(str, grid.ranks)))
+    p.add_argument("--levels", type=_comma_list(float),
+                   default=",".join(map(str, grid.levels)))
     p.add_argument("--trials", type=int, default=grid.trials)
     p.add_argument("--success-threshold", type=float, default=grid.success_threshold)
     p.add_argument("--seed", type=int, default=0)
@@ -279,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

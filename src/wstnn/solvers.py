@@ -161,7 +161,9 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     """Run ADMM sweeps from the primary iterate ``x0`` under a validated
     config. ``combine(num, beta_sum)`` returns the next primary iterate
     from num = sum_i (beta_i y_i - mult_i) over the active pairs i and
-    beta_sum = sum_i beta_i; ``start`` is the solve's start time."""
+    beta_sum = sum_i beta_i; ``start`` is the solve's start time. A
+    ``LinAlgError`` from a pair's t-SVT is raised again as the same type,
+    naming the sweep and the mode pair."""
     pairs = mode_pairs(x0.ndim)
     active = [i for i, a in enumerate(cfg.alpha) if a > 0]
     beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
@@ -170,12 +172,14 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     mult = {i: np.zeros_like(x) for i in active}
 
     report = SolveReport()
-    for _ in range(cfg.p_max):
+    for sweep in range(1, cfg.p_max + 1):
         for i in active:
             z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
-            y[i] = mode_k1k2_fold(
-                t_svt(z, cfg.alpha[i] / beta[i]), pairs[i], x.shape
-            )
+            try:
+                shrunk = t_svt(z, cfg.alpha[i] / beta[i])
+            except np.linalg.LinAlgError as exc:
+                raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
+            y[i] = mode_k1k2_fold(shrunk, pairs[i], x.shape)
         beta_sum = sum(beta[i] for i in active)
         x_new = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
         rel = _rel_change(x_new, x)

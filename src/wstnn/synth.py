@@ -66,6 +66,8 @@ class CpSpec:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in self.shape):
+            raise ValueError(f"extents must be integers, got {tuple(self.shape)}")
         self.shape = tuple(int(n) for n in self.shape)
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
@@ -281,8 +283,8 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     order, and gives an ``error`` record. Any other exception is a
     programming error: the pending trials are cancelled and the exception
     propagates. A bad setting raises ``ValueError`` before any trial runs:
-    a grid rank or level that the task's generator or corruption operator
-    rejects, or a config template of the wrong class or that fails its
+    a shape, grid rank or level that the task's generator or corruption
+    operator rejects, or a config template of the wrong class or that fails its
     ``validated(len(shape))``.
     """
     if task not in ("complete", "rpca"):

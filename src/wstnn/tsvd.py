@@ -19,14 +19,18 @@ singular values. The products and factors go back through ``irfft``,
 which implies the mirrored slices and returns real output.
 
 Numeric breakdowns raise ``numpy.linalg.LinAlgError``: numpy's own when
-an SVD of the Fourier slices fails (say, on a NaN entry), and its subclass
-:class:`NumericError` from the imaginary-residue guard. ``irfft`` silently
-drops the imaginary part of the self-conjugate slices, DC and (for even
-``n3``) Nyquist. Those two slices must be real for real output, so their
-imaginary part is the residue a full inverse DFT would show. A residue
-above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
-raises instead of being silently discarded. The same guard checks the
-whole complex output of the full inverse DFT in :func:`t_svt`.
+an SVD of the Fourier slices fails, and its subclass :class:`NumericError`
+from two checks. The first runs before every batched SVD: a non-finite
+Fourier slice (a NaN or infinite entry, or a tube DFT that overflowed a
+finite input) raises, since LAPACK may return garbage on it or never
+return at all. The second is the imaginary-residue guard. ``irfft``
+silently drops the imaginary part of the self-conjugate slices, DC and
+(for even ``n3``) Nyquist. Those two slices must be real for real output,
+so their imaginary part is the residue a full inverse DFT would show. A
+residue above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an
+implementation bug and raises instead of being silently discarded. The
+same guard checks the whole complex output of the full inverse DFT in
+:func:`t_svt`.
 
 :func:`t_svt`, the solvers' hot kernel, still transforms the full
 spectrum (:func:`dft_tubes` / :func:`idft_tubes`).
@@ -59,7 +63,8 @@ IMAG_TOL = 1e-9
 
 
 class NumericError(np.linalg.LinAlgError):
-    """An inverse DFT left an imaginary residue above the tolerance."""
+    """The Fourier slices held a non-finite value before an SVD, or an
+    inverse DFT left an imaginary residue above the tolerance."""
 
 
 class TSvdFactors(NamedTuple):
@@ -85,12 +90,15 @@ def idft_tubes(y: np.ndarray) -> np.ndarray:
     return np.fft.ifft(_require_3way(y), axis=2)
 
 
-def _real_part(y: np.ndarray, ref_norm: float) -> np.ndarray:
-    resid = float(np.abs(y.imag).max(initial=0.0))
+def _check_residue(resid: float, ref_norm: float) -> None:
     if resid > IMAG_TOL * (1.0 + ref_norm):
         raise NumericError(
             f"imaginary residue {resid:.3e} exceeds tolerance after inverse DFT"
         )
+
+
+def _real_part(y: np.ndarray, ref_norm: float) -> np.ndarray:
+    _check_residue(float(np.abs(y.imag).max(initial=0.0)), ref_norm)
     return np.ascontiguousarray(y.real)
 
 
@@ -121,6 +129,13 @@ def _slices_last(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, 0, 2)
 
 
+def _svd(stack: np.ndarray, **kwargs):
+    """Batched ``np.linalg.svd`` of a Fourier slice stack, which must be finite."""
+    if not np.isfinite(stack).all():
+        raise NumericError("non-finite value in the Fourier slices before the SVD")
+    return np.linalg.svd(stack, **kwargs)
+
+
 def _rfft_slices(x: np.ndarray) -> np.ndarray:
     # (n1, n2, n3) real -> (n3 // 2 + 1, n1, n2) half-spectrum slice stack
     return _slices_first(np.fft.rfft(x, axis=2))
@@ -133,11 +148,7 @@ def _irfft_slices(stack: np.ndarray, n3: int, ref_norm: float) -> np.ndarray:
     if n3 % 2 == 0:
         edge = edge + np.abs(stack[-1].imag)
     # what a full inverse DFT would leave in the imaginary part (1/n3 scaling)
-    resid = float(edge.max(initial=0.0)) / n3
-    if resid > IMAG_TOL * (1.0 + ref_norm):
-        raise NumericError(
-            f"imaginary residue {resid:.3e} exceeds tolerance after inverse DFT"
-        )
+    _check_residue(float(edge.max(initial=0.0)) / n3, ref_norm)
     return np.ascontiguousarray(np.fft.irfft(_slices_last(stack), n=n3, axis=2))
 
 
@@ -161,7 +172,7 @@ def t_svd(x: np.ndarray) -> TSvdFactors:
     """
     x = _require_3way(x)
     n1, n2, n3 = x.shape
-    u, sig, vh = np.linalg.svd(_rfft_slices(x), full_matrices=True)
+    u, sig, vh = _svd(_rfft_slices(x), full_matrices=True)
     k = sig.shape[1]
     sf = np.zeros((sig.shape[0], n1, n2))
     sf[:, range(k), range(k)] = sig
@@ -180,7 +191,7 @@ def fourier_singular_values(x: np.ndarray) -> np.ndarray:
     ``min(i, n3 - i)``.
     """
     x = _require_3way(x)
-    half = np.linalg.svd(_rfft_slices(x), compute_uv=False)
+    half = _svd(_rfft_slices(x), compute_uv=False)
     i = np.arange(x.shape[2])
     return half[np.minimum(i, x.shape[2] - i)]
 
@@ -214,7 +225,7 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
     zf = _slices_first(dft_tubes(z))
-    u, sig, vh = np.linalg.svd(zf, full_matrices=False)
+    u, sig, vh = _svd(zf, full_matrices=False)
     shrunk = np.maximum(sig - tau, 0.0)
     out = (u * shrunk[:, None, :]) @ vh
     return _real_part(idft_tubes(_slices_last(out)), frobenius_norm(z))

@@ -190,11 +190,12 @@ class TestCli:
         ("complete", solvers.LrtcConfig), ("rpca", solvers.TrpcaConfig),
     ])
     def test_solver_defaults_come_from_config(self, command, config):
-        required = {"complete": ["--out", "o"], "rpca": ["--out-low", "l", "--out-sparse", "s"]}
+        required = {"complete": ["--sr", "0.5", "--out", "o"],
+                    "rpca": ["--out-low", "l", "--out-sparse", "s"]}
         args = cli.build_parser().parse_args([command, "--input", "x"] + required[command])
         defaults = {f.name: f.default for f in dataclasses.fields(config)}
-        assert (cli._parse_tau(args.tau), args.max_iter, args.rel_tol) == (
-            defaults["tau"], defaults["p_max"], defaults["rel_tol"]
+        assert (args.tau, args.max_iter, args.rel_tol) == (
+            [defaults["tau"]], defaults["p_max"], defaults["rel_tol"]
         )
 
     def test_rank_and_sweep_defaults_come_from_library(self):
@@ -204,7 +205,7 @@ class TestCli:
         threshold = default(ntubal.estimate_n_tubal_rank, "rel_threshold")
         parser = cli.build_parser()
         for argv in (
-            ["complete", "--input", "x", "--out", "o"],
+            ["complete", "--input", "x", "--sr", "0.5", "--out", "o"],
             ["rpca", "--input", "x", "--out-low", "l", "--out-sparse", "s"],
         ):
             args = parser.parse_args(argv)
@@ -213,8 +214,7 @@ class TestCli:
         assert parser.parse_args(["rank", "--input", "x"]).threshold == threshold
         args = parser.parse_args(["sweep", "--task", "complete", "--out", "o"])
         grid = synth.PhaseGrid()
-        assert [int(r) for r in args.ranks.split(",")] == grid.ranks
-        assert [float(v) for v in args.levels.split(",")] == grid.levels
+        assert (args.ranks, args.levels) == (grid.ranks, grid.levels)
         assert (args.trials, args.success_threshold) == (grid.trials, grid.success_threshold)
 
     def test_sweep_rejects_rank_above_shape_before_any_trial(self, tmp_path, capsys):
@@ -279,16 +279,21 @@ class TestCli:
     # a non-finite entry or setting ends in one error line, not a traceback
     @pytest.mark.parametrize("argv", [
         ["tsvd", "--input", "nan.ntb", "--out-u", "u", "--out-s", "s", "--out-v", "v"],
+        ["tsvd", "--input", "inf.ntb", "--out-u", "u", "--out-s", "s", "--out-v", "v"],
+        ["rank", "--input", "inf.ntb"],
         ["complete", "--input", "x.ntb", "--sr", "0.6", "--out", "o", "--tau", "nan"],
         ["rpca", "--input", "x.ntb", "--out-low", "l", "--out-sparse", "s", "--lambda", "nan"],
-    ], ids=["tsvd-nan-entry", "complete-tau-nan", "rpca-lambda-nan"])
+    ], ids=["tsvd-nan-entry", "tsvd-inf-entry", "rank-inf-entry", "complete-tau-nan",
+            "rpca-lambda-nan"])
     def test_nonfinite_fails_with_error_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         x = np.random.default_rng(8).standard_normal((6, 5, 4))
         tensor_io.write_tensor("x.ntb", x)
-        x[2, 1, 3] = np.nan
-        tensor_io.write_tensor("nan.ntb", x)
-        assert cli.main(argv) == 1
+        for name, value in (("nan.ntb", np.nan), ("inf.ntb", np.inf)):
+            x[2, 1, 3] = value
+            tensor_io.write_tensor(name, x)
+        with np.errstate(invalid="ignore"):
+            assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -296,5 +301,26 @@ class TestCli:
         x = np.ones((5, 5, 5))
         inp = tmp_path / "x.ntb"
         tensor_io.write_tensor(inp, x)
-        rc = cli.main(["complete", "--input", str(inp), "--out", str(tmp_path / "o.ntb")])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["complete", "--input", str(inp), "--out", str(tmp_path / "o.ntb")])
+        assert exc.value.code == 2
+
+    # a malformed command line is argparse's usage error: exit 2, and the
+    # message names the option
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "--task", "complete", "--ranks", "1,x", "--out", "o"], "--ranks"),
+        (["sweep", "--task", "complete", "--levels", "0.5,abc", "--out", "o"], "--levels"),
+        (["sweep", "--task", "complete", "--shape", "30,x", "--out", "o"], "--shape"),
+        (["complete", "--input", "x", "--sr", "0.5", "--tau", "1,x", "--out", "o"], "--tau"),
+        (["rpca", "--input", "x", "--out-low", "l", "--out-sparse", "s", "--lambda", "abc"],
+         "--lambda"),
+        (["complete", "--input", "x", "--mask", "m", "--sr", "0.5", "--out", "o"], "--mask"),
+        (["complete", "--input", "x", "--out", "o"], "--mask"),
+    ], ids=["ranks", "levels", "shape", "tau", "lambda", "mask-and-sr", "neither-mask-nor-sr"])
+    def test_malformed_command_line_is_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wstnn ") and "Traceback" not in err
+        assert option in err.splitlines()[-1]

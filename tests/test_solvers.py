@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,3 +288,21 @@ class TestTrpca:
         x[1, 1, 1] = np.inf
         with pytest.raises(ValueError):
             solvers.trpca_solve(x, cfg)
+
+    # a finite input whose iterates overflow mid-run: at 1e308 the tube DFT
+    # of the first pair's unfolding overflows in sweep 2; at 1e300 the
+    # unfolding itself holds an inf in sweep 115, whose SVD never returned
+    @pytest.mark.parametrize("x, sweep", [
+        (1e308 * gen_cp_tensor(CpSpec((10, 10, 10), 2, 0)), 2),
+        (1e300 * np.random.default_rng(0).standard_normal((5, 4, 3)), 115),
+    ], ids=["dft-overflow", "inf-unfolding"])
+    def test_midrun_breakdown_names_sweep_and_pair(self, x, sweep):
+        alpha = weights_uniform(3)
+        cfg = solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(x.shape, alpha))
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError,
+                              match=rf"^sweep {sweep}, mode pair \(1, 2\): ") as info:
+            solvers.trpca_solve(x, cfg)
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

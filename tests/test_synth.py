@@ -39,6 +39,10 @@ class TestCpSpec:
         with pytest.raises(ValueError, match="extents must be positive"):
             synth.CpSpec((5, 0, 5), 1)
 
+    def test_rejects_non_integral_extent(self):
+        with pytest.raises(ValueError, match="extents must be integers"):
+            synth.CpSpec((5.7, 5, 5), 1)
+
 
 class TestGenCpTensor:
     def test_deterministic(self):
@@ -178,25 +182,29 @@ class TestPhaseSweep:
             synth.phase_sweep(grid, "complete", (5, 5, 5))
         assert list(tmp_path.iterdir()) == []
 
-    # each bad setting, levels and config templates alike, raises before
-    # the pool forks, so no trial runs
-    @pytest.mark.parametrize("task, levels, cfg", [
-        ("complete", [0.5, 1.5], None),
-        ("complete", [0.5, float("nan")], None),
-        ("rpca", [0.1, 1.0], None),
-        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), tau=float("nan"))),
-        ("complete", [0.5], solvers.LrtcConfig(alpha=[float("nan"), 0.5, 0.5])),
-        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(4))),
-        ("complete", [0.5], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1)),
-        ("rpca", [0.1], solvers.LrtcConfig(alpha=weights_uniform(3))),
-        ("rpca", [0.1], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=float("nan"))),
-        ("complete", [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), p_max=2.5)),
+    # each bad setting, shapes, levels and config templates alike, raises
+    # before the pool forks, so no trial runs
+    @pytest.mark.parametrize("task, shape, levels, cfg", [
+        ("complete", (5, 5, 5), [0.5, 1.5], None),
+        ("complete", (5, 5, 5), [0.5, float("nan")], None),
+        ("rpca", (5, 5, 5), [0.1, 1.0], None),
+        ("complete", (5, 5, 5), [0.5],
+         solvers.LrtcConfig(alpha=weights_uniform(3), tau=float("nan"))),
+        ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(alpha=[float("nan"), 0.5, 0.5])),
+        ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(alpha=weights_uniform(4))),
+        ("complete", (5, 5, 5), [0.5], solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1)),
+        ("rpca", (5, 5, 5), [0.1], solvers.LrtcConfig(alpha=weights_uniform(3))),
+        ("rpca", (5, 5, 5), [0.1],
+         solvers.TrpcaConfig(alpha=weights_uniform(3), lam=float("nan"))),
+        ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), p_max=2.5)),
+        ("complete", (5.7, 5, 5), [0.5], None),
     ], ids=[
         "sr-1.5", "sr-nan", "nl-1.0", "tau-nan", "alpha-nan", "alpha-4way",
         "complete-trpca-template", "rpca-lrtc-template", "lam-nan", "p_max-2.5",
+        "shape-5.7",
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
-                                                   task, levels, cfg):
+                                                   task, shape, levels, cfg):
         def trial(shape, rank, level, index, seed, cfg):
             (tmp_path / f"{level}-{seed.spawn_key}").touch()
             return synth.TrialRecord(rank, level, index, 0.0, 1, True)
@@ -205,7 +213,7 @@ class TestPhaseSweep:
         monkeypatch.setattr(synth, "_run_rpca_trial", trial)
         grid = synth.PhaseGrid(ranks=[1], levels=levels, trials=2)
         with pytest.raises(ValueError):
-            synth.phase_sweep(grid, task, (5, 5, 5), config_template=cfg)
+            synth.phase_sweep(grid, task, shape, config_template=cfg)
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_validation(self):

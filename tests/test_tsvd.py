@@ -227,15 +227,26 @@ class TestHalfSpectrum:
         with pytest.raises(tsvd.NumericError):
             tsvd.t_svd(random_tensor((4, 3, n3), 26))
 
-    # numpy's SVD failure passes through as it is, and the residue guard's
-    # NumericError is the same type, so one except catches both
+    # a NaN stops at the finite check before the SVD; its NumericError is a
+    # LinAlgError, like numpy's own SVD failure, so one except catches both
     @pytest.mark.parametrize("op", [tsvd.t_svd, lambda x: tsvd.t_svt(x, 1.0)],
                              ids=["t_svd", "t_svt"])
     def test_nan_entry_raises_linalg_error(self, op):
         assert issubclass(tsvd.NumericError, np.linalg.LinAlgError)
         x = random_tensor((4, 3, 5), 27)
         x[1, 2, 3] = np.nan
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite value in the Fourier slices"):
+            op(x)
+
+    # LAPACK's SVD of a slice holding an inf may never return, or return
+    # garbage that reads as rank 0; no non-finite slice may reach it
+    @pytest.mark.parametrize("op", [
+        tsvd.t_svd, tsvd.fourier_singular_values, lambda x: tsvd.t_svt(x, 1.0),
+    ], ids=["t_svd", "fourier_singular_values", "t_svt"])
+    def test_inf_entry_raises_numeric_error(self, op):
+        x = random_tensor((5, 4, 3), 28)
+        x[2, 1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(tsvd.NumericError):
             op(x)
 
 
