@@ -1,10 +1,12 @@
 """ADMM solvers for WSTNN-regularized completion and robust PCA.
 
-Both solvers run one sweep core, ``_admm``. It keeps one auxiliary
-variable, one multiplier and one penalty per mode pair. Each sweep
-applies tensor singular value thresholding to every pair's unfolding of
-the current iterate, hands the penalty-weighted pair estimates to the
-solver's own ``combine`` step (completion re-imposes the observed
+Both solvers run one sweep core, ``_admm``. It keeps one penalty and
+one buffer per mode pair; the buffer holds the pair's multiplier
+between sweeps and its penalty-weighted estimate minus that multiplier
+within a sweep, so no auxiliary variable outlives its pair's step. Each
+sweep applies tensor singular value thresholding to every pair's
+unfolding of the current iterate, hands the sum of the pair terms to
+the solver's own ``combine`` step (completion re-imposes the observed
 entries; robust PCA adds its l1 block), then updates the pair
 multipliers and penalties. Penalties grow by the solver's constant
 ``gamma`` each sweep (1.1 for completion, 1.2 for robust PCA), capped at
@@ -163,28 +165,45 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     from num = sum_i (beta_i y_i - mult_i) over the active pairs i and
     beta_sum = sum_i beta_i; ``start`` is the solve's start time. A
     ``LinAlgError`` from a pair's t-SVT is raised again as the same type,
-    naming the sweep and the mode pair."""
+    naming the sweep and the mode pair.
+
+    Each active pair keeps one buffer w_i (the scaled-multiplier
+    bookkeeping of Boyd et al. 2011, section 3.1.1). Between sweeps it
+    holds mult_i. Once the sweep has the pair's estimate y_i, w_i becomes
+    beta_i y_i - mult_i, the pair's term of num, and y_i is dropped.
+    After ``combine``, w_i becomes the next multiplier
+    mult_i + beta_i (x_new - y_i) = beta_i x_new - w_i, before beta_i
+    grows."""
     pairs = mode_pairs(x0.ndim)
     active = [i for i, a in enumerate(cfg.alpha) if a > 0]
     beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
+    w = {i: np.zeros_like(x0) for i in active}
+    # the dels free each array as soon as it is spent, so the first
+    # iterate, a pair's unfolding and its t-SVT output never outlive
+    # their step into the next pair's t-SVT
     x = x0
-    y = {}
-    mult = {i: np.zeros_like(x) for i in active}
+    del x0
 
     report = SolveReport()
     for sweep in range(1, cfg.p_max + 1):
+        num = np.zeros_like(x)
         for i in active:
-            z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
+            z = mode_k1k2_unfold(x + w[i] / beta[i], pairs[i])
             try:
                 shrunk = t_svt(z, cfg.alpha[i] / beta[i])
             except np.linalg.LinAlgError as exc:
                 raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
-            y[i] = mode_k1k2_fold(shrunk, pairs[i], x.shape)
-        beta_sum = sum(beta[i] for i in active)
-        x_new = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
+            del z
+            y = mode_k1k2_fold(shrunk, pairs[i], x.shape)
+            y *= beta[i]
+            np.subtract(y, w[i], out=w[i])
+            num += w[i]
+            del shrunk, y
+        x_new = combine(num, sum(beta[i] for i in active))
+        del num
         rel = _rel_change(x_new, x)
         for i in active:
-            mult[i] = mult[i] + beta[i] * (x_new - y[i])
+            np.subtract(beta[i] * x_new, w[i], out=w[i])
             beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
         x = x_new
         report.rel_change_trace.append(rel)

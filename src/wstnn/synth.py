@@ -147,15 +147,14 @@ def add_salt_pepper(
     ``x`` (equal probability each)."""
     _check_noise_level(nl)
     x = np.asarray(x, dtype=np.float64)
-    out = x.copy()
     if nl == 0.0:
-        return out
+        return x.copy()
     numel = x.size
     n_bad = int(round(nl * numel))
     rng = np.random.default_rng(seed)
     idx = rng.choice(numel, size=n_bad, replace=False)
     values = np.where(rng.random(n_bad) < 0.5, x.min(), x.max())
-    flat = out.ravel(order="F")
+    flat = x.flatten(order="F")
     flat[idx] = values
     return flat.reshape(x.shape, order="F")
 

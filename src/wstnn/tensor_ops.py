@@ -106,4 +106,13 @@ def mode_k1k2_fold(
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(x).ravel()))
+    """Frobenius norm. The plain sum of squares overflows once entries pass
+    about 1e154; only then, for a finite input, is it recomputed as
+    m * ||x / m|| with m = max |x|, so in-range results are unchanged."""
+    v = np.asarray(x).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if norm == np.inf and np.isfinite(v).all():
+            m = np.abs(v).max()
+            norm = float(m * np.linalg.norm(v / m))
+    return norm

@@ -29,11 +29,12 @@ silently drops the imaginary part of the self-conjugate slices, DC and
 so their imaginary part is the residue a full inverse DFT would show. A
 residue above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an
 implementation bug and raises instead of being silently discarded. The
-same guard checks the whole complex output of the full inverse DFT in
-:func:`t_svt`.
+same guard checks the largest imaginary part over all row blocks of the
+full inverse DFT in :func:`t_svt`.
 
 :func:`t_svt`, the solvers' hot kernel, still transforms the full
-spectrum (:func:`dft_tubes` / :func:`idft_tubes`).
+spectrum (:func:`dft_tubes` / :func:`idft_tubes`), and works on it in
+place, ``SVT_BLOCK`` slices at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-9
+
+#: Fourier slices per batched SVD in :func:`t_svt`
+SVT_BLOCK = 16
 
 
 class NumericError(np.linalg.LinAlgError):
@@ -95,11 +99,6 @@ def _check_residue(resid: float, ref_norm: float) -> None:
         raise NumericError(
             f"imaginary residue {resid:.3e} exceeds tolerance after inverse DFT"
         )
-
-
-def _real_part(y: np.ndarray, ref_norm: float) -> np.ndarray:
-    _check_residue(float(np.abs(y.imag).max(initial=0.0)), ref_norm)
-    return np.ascontiguousarray(y.real)
 
 
 def identity_tensor(n: int, n3: int) -> np.ndarray:
@@ -220,12 +219,31 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
 
     Shrinks the singular values of every Fourier slice by ``tau`` (thin
     SVDs; a full factorization's zero-padded part cannot survive shrinkage)
-    and transforms back."""
+    and transforms back. The slices are decomposed ``SVT_BLOCK`` at a
+    time, and each shrunk block is written back into the one spectrum
+    buffer; the inverse DFT then runs over blocks of rows into one real
+    output. Each slice and tube goes through the same SVD, product and
+    DFT as in one whole-spectrum batch, so the blocks bound the working
+    set to the spectrum, the output and one block's temporaries without
+    changing a bit of the result."""
     if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
-    zf = _slices_first(dft_tubes(z))
-    u, sig, vh = _svd(zf, full_matrices=False)
-    shrunk = np.maximum(sig - tau, 0.0)
-    out = (u * shrunk[:, None, :]) @ vh
-    return _real_part(idft_tubes(_slices_last(out)), frobenius_norm(z))
+    n1, _, n3 = z.shape
+    ref_norm = frobenius_norm(z)
+    spectrum = dft_tubes(z)
+    stack = _slices_first(spectrum)
+    for b in range(0, n3, SVT_BLOCK):
+        u, sig, vh = _svd(stack[b : b + SVT_BLOCK], full_matrices=False)
+        u *= np.maximum(sig - tau, 0.0)[:, None, :]
+        stack[b : b + SVT_BLOCK] = u @ vh
+    # row blocks of about SVT_BLOCK slices' worth of entries each
+    rows = max(1, SVT_BLOCK * n1 // n3)
+    out = np.empty(z.shape)
+    resid = 0.0
+    for r in range(0, n1, rows):
+        y = idft_tubes(spectrum[r : r + rows])
+        out[r : r + rows] = y.real
+        resid = max(resid, float(np.abs(y.imag).max(initial=0.0)))
+    _check_residue(resid, ref_norm)
+    return out

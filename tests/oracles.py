@@ -3,14 +3,22 @@
 The block-circulant oracle computes the t-product without any FFT. The
 full-FFT references transform every tube with ``np.fft.fft`` and work on
 all n3 Fourier slices, the textbook form of the half-spectrum code in
-``wstnn.tsvd``. The serial phase sweep runs every trial in turn in the
-calling process, the reference for the worker pool of
-``wstnn.synth.phase_trials``.
+``wstnn.tsvd``. ``batched_t_svt`` is the one-batch form of the blockwise
+``wstnn.tsvd.t_svt``, and ``two_buffer_admm`` the ADMM loop that keeps
+every pair's auxiliary variable and multiplier apart, the reference for
+the one-buffer ``wstnn.solvers._admm``. The serial phase sweep runs every
+trial in turn in the calling process, the reference for the worker pool
+of ``wstnn.synth.phase_trials``.
 """
+
+import time
 
 import numpy as np
 
 from wstnn import synth
+from wstnn.solvers import PENALTY_MAX, SolveReport, _rel_change
+from wstnn.tensor_ops import frobenius_norm, mode_k1k2_fold, mode_k1k2_unfold, mode_pairs
+from wstnn.tsvd import _check_residue, _svd, dft_tubes, idft_tubes, t_svt
 
 
 def bcirc(x: np.ndarray) -> np.ndarray:
@@ -76,6 +84,52 @@ def full_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
         u, sig, vh = np.linalg.svd(s, full_matrices=False)
         slices.append((u * np.maximum(sig - tau, 0.0)) @ vh)
     return _real_inverse(np.array(slices))
+
+
+def batched_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
+    """t-SVT with every Fourier slice in one batched SVD and one complex
+    inverse DFT of the whole spectrum."""
+    zf = np.moveaxis(dft_tubes(z), 2, 0)
+    u, sig, vh = _svd(zf, full_matrices=False)
+    shrunk = np.maximum(sig - tau, 0.0)
+    out = (u * shrunk[:, None, :]) @ vh
+    y = idft_tubes(np.moveaxis(out, 0, 2))
+    _check_residue(float(np.abs(y.imag).max(initial=0.0)), frobenius_norm(z))
+    return np.ascontiguousarray(y.real)
+
+
+def two_buffer_admm(x0, cfg, combine, start):
+    """``wstnn.solvers._admm`` with an auxiliary variable y_i and a
+    multiplier mult_i kept apart for every active pair."""
+    pairs = mode_pairs(x0.ndim)
+    active = [i for i, a in enumerate(cfg.alpha) if a > 0]
+    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
+    x = x0
+    y = {}
+    mult = {i: np.zeros_like(x) for i in active}
+
+    report = SolveReport()
+    for sweep in range(1, cfg.p_max + 1):
+        for i in active:
+            z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
+            try:
+                shrunk = t_svt(z, cfg.alpha[i] / beta[i])
+            except np.linalg.LinAlgError as exc:
+                raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
+            y[i] = mode_k1k2_fold(shrunk, pairs[i], x.shape)
+        beta_sum = sum(beta[i] for i in active)
+        x_new = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
+        rel = _rel_change(x_new, x)
+        for i in active:
+            mult[i] = mult[i] + beta[i] * (x_new - y[i])
+            beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
+        x = x_new
+        report.rel_change_trace.append(rel)
+        if rel < cfg.rel_tol:
+            report.converged = True
+            break
+    report.wall_time = time.perf_counter() - start
+    return x, report
 
 
 def phase_trials_serial(grid, task, shape, base_seed=0, cfg=None):

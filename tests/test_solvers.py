@@ -1,15 +1,17 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy import inf, nan
+from oracles import two_buffer_admm
 from test_tsvd import small_shapes
 
 from wstnn import solvers
 from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform, wstnn
-from wstnn.synth import CpSpec, gen_cp_tensor, rse, sample_mask
+from wstnn.synth import CpSpec, add_salt_pepper, gen_cp_tensor, rse, sample_mask
 from wstnn.tensor_ops import frobenius_norm, mode_pairs
 
 
@@ -249,8 +251,6 @@ class TestTrpca:
         assert frobenius_norm(x - low - sparse) < 1e-5 * frobenius_norm(x)
 
     def test_splits_low_plus_sparse(self):
-        from wstnn.synth import add_salt_pepper
-
         truth = gen_cp_tensor(CpSpec((20, 20, 20), 2, seed=10))
         noisy = add_salt_pepper(truth, 0.1, seed=11)
         lam = solvers.default_lambda(truth.shape, weights_uniform(3))
@@ -265,8 +265,6 @@ class TestTrpca:
         # the first sweep moves away from a zero iterate; its relative
         # change must not read as an absolute norm, which at data scale
         # 1e-6 fell below rel_tol and stopped the solve after one sweep
-        from wstnn.synth import add_salt_pepper
-
         truth = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=0))
         noisy = add_salt_pepper(truth, 0.05, seed=1)
         lam = solvers.default_lambda(truth.shape, weights_uniform(3))
@@ -282,6 +280,24 @@ class TestTrpca:
         assert res_small == pytest.approx(res, rel=1e-9)
         assert err < 0.1
 
+    # at 1e200 the squares of the entries overflow; the relative changes
+    # must not, or the solve runs all p_max sweeps on a NaN trace
+    def test_stops_on_huge_entries(self):
+        truth = gen_cp_tensor(CpSpec((10, 10, 10), 2, 0))
+        alpha = weights_uniform(3)
+        lam = solvers.default_lambda(truth.shape, alpha)
+        runs = []
+        for scale, tau in ((1.0, 1.0), (1e200, 1e200), (1e200, 10.0)):
+            cfg = solvers.TrpcaConfig(alpha=alpha, tau=tau, lam=lam)
+            low, _, report = solvers.trpca_solve(scale * truth, cfg)
+            assert report.converged
+            assert np.isfinite(report.rel_change_trace[1:]).all()
+            runs.append((report.iterations, rse(low, scale * truth)))
+        (iters, err), (iters_huge, err_huge), (iters_tau10, _) = runs
+        assert iters_huge == iters == 34
+        assert err_huge == pytest.approx(err, rel=1e-9)
+        assert iters_tau10 == 2
+
     def test_nonfinite_rejected(self):
         cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=10.0, lam=0.1)
         x = np.zeros((3, 3, 3))
@@ -290,11 +306,12 @@ class TestTrpca:
             solvers.trpca_solve(x, cfg)
 
     # a finite input whose iterates overflow mid-run: at 1e308 the tube DFT
-    # of the first pair's unfolding overflows in sweep 2; at 1e300 the
-    # unfolding itself holds an inf in sweep 115, whose SVD never returned
+    # of the first pair's unfolding overflows in sweep 2; at 3e307 the
+    # unfolding itself holds an inf in sweep 3 (an SVD of such a slice
+    # may never return)
     @pytest.mark.parametrize("x, sweep", [
         (1e308 * gen_cp_tensor(CpSpec((10, 10, 10), 2, 0)), 2),
-        (1e300 * np.random.default_rng(0).standard_normal((5, 4, 3)), 115),
+        (3e307 * np.random.default_rng(0).standard_normal((5, 4, 3)), 3),
     ], ids=["dft-overflow", "inf-unfolding"])
     def test_midrun_breakdown_names_sweep_and_pair(self, x, sweep):
         alpha = weights_uniform(3)
@@ -306,3 +323,74 @@ class TestTrpca:
             solvers.trpca_solve(x, cfg)
         assert time.perf_counter() - start < 1.0
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _lrtc_case(shape, rank, sr, seed, tau, alpha=None, p_max=500):
+    truth = gen_cp_tensor(CpSpec(shape, rank, seed))
+    mask = sample_mask(shape, sr, seed + 1)
+    alpha = weights_uniform(len(shape)) if alpha is None else np.asarray(alpha)
+    cfg = solvers.LrtcConfig(alpha=alpha, tau=tau, p_max=p_max)
+    return lambda: solvers.lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+
+
+def _trpca_case(shape, rank, nl, seed, tau, alpha=None, p_max=500):
+    noisy = add_salt_pepper(gen_cp_tensor(CpSpec(shape, rank, seed)), nl, seed + 1)
+    alpha = weights_uniform(len(shape)) if alpha is None else np.asarray(alpha)
+    cfg = solvers.TrpcaConfig(alpha=alpha, tau=tau, lam=solvers.default_lambda(shape, alpha),
+                              rel_tol=1e-6, p_max=p_max)
+    return lambda: solvers.trpca_solve(noisy, cfg)
+
+
+class TestOneBufferAdmm:
+    """The one-buffer ADMM loop against the loop that keeps every pair's
+    auxiliary variable and multiplier apart: the same sweeps, and results
+    that differ only in rounding. Each instance runs 23-62 sweeps, or to
+    its p_max (a smaller tau where tau 10 would stop after a sweep or two)."""
+
+    @pytest.mark.parametrize("solve", [
+        _lrtc_case((12, 12, 12), 2, 0.5, 0, tau=3.0),
+        _lrtc_case((6, 7, 5, 4), 1, 0.5, 2, tau=1.0),
+        _lrtc_case((15, 15, 15), 1, 0.6, 7, tau=10.0, alpha=[0.5, 0.5, 0.0]),
+        _lrtc_case((6, 7, 5, 4), 2, 0.3, 4, tau=1.0, p_max=4),
+        _trpca_case((15, 15, 15), 2, 0.1, 3, tau=10.0),
+        _trpca_case((6, 7, 5, 4), 1, 0.05, 5, tau=3.0, alpha=[0.3, 0.0, 0.2, 0.2, 0.1, 0.2]),
+        _trpca_case((12, 12, 12), 2, 0.1, 6, tau=10.0, p_max=5),
+    ], ids=["lrtc-3way", "lrtc-4way", "lrtc-zero-weight", "lrtc-p_max",
+            "trpca-3way", "trpca-4way-zero-weight", "trpca-p_max"])
+    def test_matches_two_buffer_loop(self, monkeypatch, solve):
+        lean = solve()
+        monkeypatch.setattr(solvers, "_admm", two_buffer_admm)
+        ref = solve()
+        lean_report, ref_report = lean[-1], ref[-1]
+        assert lean_report.iterations == ref_report.iterations > 1
+        assert lean_report.converged == ref_report.converged
+        for a, b in zip(lean[:-1], ref[:-1]):
+            assert frobenius_norm(a - b) <= 1e-10 * frobenius_norm(b)
+
+
+class TestWorkingSet:
+    """Peak memory a 5-sweep solve allocates, as a multiple of the data size
+    (one buffer per pair, and t-SVT's slice blocks)."""
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape", [(12, 12, 12, 12), (8, 9, 10, 11), (30, 30, 30)],
+                             ids=_shape_id)
+    def test_peak_within_budget(self, shape):
+        truth = gen_cp_tensor(CpSpec(shape, 2, 0))
+        alpha = weights_uniform(len(shape))
+        mask = sample_mask(shape, 0.5, 1)
+        f = np.where(mask, truth, 0.0)
+        lrtc_cfg = solvers.LrtcConfig(alpha=alpha, p_max=5)
+        assert self._peak(solvers.lrtc_solve, f, mask, lrtc_cfg) <= 16 * f.nbytes
+        noisy = add_salt_pepper(truth, 0.1, 2)
+        trpca_cfg = solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(shape, alpha),
+                                        p_max=5)
+        assert self._peak(solvers.trpca_solve, noisy, trpca_cfg) <= 18 * noisy.nbytes

@@ -116,6 +116,18 @@ class TestSaltPepper:
         b = synth.add_salt_pepper(x, 0.3, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    # the noise lands on the same column-major positions whatever the
+    # input's memory order, and the input is left as it was
+    def test_memory_order_and_input_untouched(self):
+        x = np.random.default_rng(5).standard_normal((6, 7, 8))
+        results = []
+        for arr in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            before = arr.copy()
+            results.append(synth.add_salt_pepper(arr, 0.3, seed=9))
+            np.testing.assert_array_equal(arr, before)
+        np.testing.assert_array_equal(results[0], results[1])
+        assert (results[0] != x).any()
+
     def test_rejects_bad_level(self):
         x = np.zeros((3, 3, 3))
         for nl in (-0.1, 1.0):

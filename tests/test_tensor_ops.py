@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +168,22 @@ class TestNorms:
     def test_frobenius_3_4_5(self):
         x = np.array([3.0, 4.0]).reshape(1, 1, 2)
         assert top.frobenius_norm(x) == pytest.approx(5.0)
+
+    def test_frobenius_in_range_is_plain_norm(self):
+        x = random_tensor((6, 5, 4), 10)
+        for scale in (1e-150, 1.0, 1e150):
+            assert top.frobenius_norm(scale * x) == np.linalg.norm((scale * x).ravel())
+
+    # the sum of squares overflows above about 1e154; the norm must not
+    def test_frobenius_large_entries(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = top.frobenius_norm(1e200 * np.ones(8))
+        assert norm == pytest.approx(np.sqrt(8.0) * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("bad, expected", [(np.inf, np.inf), (np.nan, np.nan)],
+                             ids=["inf", "nan"])
+    def test_frobenius_nonfinite_entry(self, bad, expected):
+        x = np.ones(4)
+        x[2] = bad
+        np.testing.assert_equal(top.frobenius_norm(x), expected)

@@ -338,6 +338,26 @@ class TestTSvt:
         tau = tsvd.fourier_singular_values(x).max() + 1.0
         np.testing.assert_allclose(tsvd.t_svt(x, tau), 0.0, atol=1e-12)
 
+    # n3 below, at, above and twice the slice block; a tall tensor and a
+    # transposed view whose spectrum is not C-ordered. Blocking must not
+    # change a bit of the one-batch result
+    @pytest.mark.parametrize("n3", [tsvd.SVT_BLOCK - 1, tsvd.SVT_BLOCK, tsvd.SVT_BLOCK + 1,
+                                    2 * tsvd.SVT_BLOCK], ids=["below", "at", "above", "twice"])
+    @pytest.mark.parametrize("layout", ["c", "tall", "transposed"])
+    def test_blocks_match_one_batch(self, n3, layout):
+        if layout == "c":
+            z = random_tensor((5, 4, n3), n3)
+        elif layout == "tall":
+            z = random_tensor((40, 3, n3), n3)
+        else:
+            z = np.transpose(random_tensor((4, n3, 5), n3), (0, 2, 1))
+        top = tsvd.fourier_singular_values(z).max()
+        for tau in (0.0, 0.5 * top, 1.5 * top):
+            out = tsvd.t_svt(z, tau)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == oracles.batched_t_svt(z, tau).tobytes()
+            assert_rel_close(out, oracles.full_t_svt(z, tau))
+
     def test_shrinks_fourier_singular_values(self):
         x = random_tensor((4, 4, 4), 24)
         tau = 0.5
