@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import ntubal, synth, tensor_io
-from .solvers import LrtcConfig, SolveReport, TrpcaConfig, default_lambda, lrtc_solve, trpca_solve
+from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
 from .tensor_ops import mode_k_unfold, mode_pairs
 from .tsvd import t_svd, tubal_rank
 
@@ -37,24 +37,23 @@ def _comma_list(convert):
     return parse
 
 
-def _auto_or_float(text: str) -> str | float:
-    return text if text == "auto" else float(text)
+def _auto_or_float(text: str) -> float | None:
+    return None if text == "auto" else float(text)
 
 
 _auto_or_float.__name__ = "auto-or-float"
 
 
-def _resolve_weights(args, x: np.ndarray) -> np.ndarray:
-    ndim = x.ndim
-    if args.weights == "uniform":
-        return ntubal.weights_uniform(ndim)
+def _weights(args, x: np.ndarray) -> np.ndarray | None:
+    """The --weights vector; None (uniform) is left to the config."""
     if args.weights == "rank-aware":
         rank = ntubal.estimate_n_tubal_rank(x, args.threshold)
         return ntubal.weights_rank_aware(x.shape, rank, args.eta)
-    # argparse choices leave "spectral" as the only other strategy
-    if ndim != 3:
-        raise ValueError("spectral weights are defined for three-way tensors only")
-    return ntubal.weights_spectral(args.theta)
+    if args.weights == "spectral":
+        if x.ndim != 3:
+            raise ValueError("spectral weights are defined for three-way tensors only")
+        return ntubal.weights_spectral(args.theta)
+    return None
 
 
 def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> int:
@@ -92,9 +91,8 @@ def _cmd_complete(args) -> int:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
     # entries off the mask are unobserved, to the rank estimate as well
     f = np.where(omega, f, 0.0)
-    alpha = _resolve_weights(args, f)
-    cfg = LrtcConfig(alpha=alpha, tau=np.squeeze(args.tau), p_max=args.max_iter,
-                     rel_tol=args.rel_tol).validated(f.ndim)
+    cfg = LrtcConfig(alpha=_weights(args, f), tau=np.squeeze(args.tau), p_max=args.max_iter,
+                     rel_tol=args.rel_tol).validated(f.shape)
     _print_config("complete", {
         "input": args.input, "shape": f.shape, "weights": args.weights,
         "alpha": cfg.alpha, "tau": cfg.tau, "gamma": cfg.gamma,
@@ -108,10 +106,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_rpca(args) -> int:
     x = tensor_io.read_tensor(args.input)
-    alpha = _resolve_weights(args, x)
-    lam = default_lambda(x.shape, alpha) if args.lam == "auto" else args.lam
-    cfg = TrpcaConfig(alpha=alpha, tau=np.squeeze(args.tau), lam=lam,
-                      p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.ndim)
+    cfg = TrpcaConfig(alpha=_weights(args, x), tau=np.squeeze(args.tau), lam=args.lam,
+                      p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.shape)
     _print_config("rpca", {
         "input": args.input, "shape": x.shape, "weights": args.weights,
         "alpha": cfg.alpha, "tau": cfg.tau, "lambda": cfg.lam, "rho": cfg.rho,
@@ -229,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rpca", help="robust tensor PCA (low rank + sparse)")
     p.add_argument("--input", required=True)
     p.add_argument("--lambda", dest="lam", type=_auto_or_float, default="auto",
-                   help="sparsity weight; 'auto' uses the size-based default")
+                   help="sparsity weight; 'auto' is wstnn.default_lambda "
+                        "of the input's shape and weights")
     p.add_argument("--out-low", required=True)
     p.add_argument("--out-sparse", required=True)
     p.add_argument("--report", help="per-iteration relative-change CSV")

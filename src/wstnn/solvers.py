@@ -14,11 +14,12 @@ multipliers and penalties. Penalties grow by the solver's constant
 successive primary iterates drops below ``rel_tol`` (the report reads
 ``converged``) or after ``p_max`` sweeps.
 
-User-facing tuning is via the per-pair threshold vector tau; the penalty
-vector is derived as beta = alpha / tau, so the t-SVT threshold for each
-pair starts at exactly tau. The default tau of 10 suits unit-scale data
-such as :func:`wstnn.synth.gen_cp_tensor` draws; it must scale with the
-data. Pairs with zero weight are skipped entirely.
+User-facing tuning is via tau. The configs resolve every default
+(``validated(shape)``) and own the starting penalties: ``beta`` = alpha /
+tau, so each pair's t-SVT threshold starts at exactly tau, and
+``TrpcaConfig.rho``. The default tau of 10 suits unit-scale data such as
+:func:`wstnn.synth.gen_cp_tensor` draws; it must scale with the data.
+Pairs with zero weight are skipped entirely.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .ntubal import pair_count, validate_weights
+from .ntubal import validate_weights, weights_uniform
 from .tensor_ops import frobenius_norm, mode_k1k2_fold, mode_k1k2_unfold, mode_pairs
 from .tsvd import t_svt
 
@@ -48,63 +49,75 @@ __all__ = [
 PENALTY_MAX = 1e10
 
 
-def _validated(cfg, ndim: int):
-    """Copy of ``cfg`` with checked weights and one tau value per mode pair
-    (a scalar tau is broadcast)."""
-    alpha = validate_weights(cfg.alpha, ndim)
-    n_pairs = pair_count(ndim)
-    tau = np.asarray(cfg.tau, dtype=np.float64)
-    if tau.ndim == 0:
-        tau = np.full(n_pairs, float(tau))
-    if tau.shape != (n_pairs,):
-        raise ValueError(f"tau must be a scalar or length-{n_pairs} vector")
-    if not ((tau > 0) & (tau < np.inf)).all():
-        raise ValueError(f"tau must be positive and finite elementwise, got {tau.tolist()}")
-    if not (isinstance(cfg.p_max, numbers.Integral) and cfg.p_max >= 1):
-        raise ValueError(f"p_max must be an integer >= 1, got {cfg.p_max!r}")
-    if not np.isfinite(cfg.rel_tol):
-        raise ValueError(f"rel_tol must be finite, got {cfg.rel_tol!r}")
-    return replace(cfg, alpha=alpha, tau=tau)
+@dataclass(kw_only=True)
+class _SolverConfig:
+    """The settings both solvers share; :meth:`validated` resolves them."""
+
+    alpha: np.ndarray | None = None
+    tau: np.ndarray | float = 10.0
+    p_max: int = 500
+    rel_tol: float = 1e-4
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Starting penalty per mode pair, alpha / tau: each t-SVT threshold starts at tau."""
+        return self.alpha / self.tau
+
+    def _resolve(self, shape) -> dict:
+        return {}
+
+    def validated(self, shape: tuple[int, ...]):
+        """Copy resolved for data of this ``shape``: ``alpha=None`` is
+        uniform weights and a scalar tau is broadcast. A setting out of range
+        or an active starting penalty that is not a positive normal float is
+        a ``ValueError``."""
+        ndim = len(shape)
+        alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
+        tau = np.asarray(self.tau, dtype=np.float64)
+        tau = np.full(alpha.size, tau) if tau.ndim == 0 else tau
+        if tau.shape != alpha.shape:
+            raise ValueError(f"tau must be a scalar or length-{alpha.size} vector")
+        if not ((tau > 0) & (tau < np.inf)).all():
+            raise ValueError(f"tau must be positive and finite elementwise, got {tau.tolist()}")
+        if not (isinstance(self.p_max, numbers.Integral) and self.p_max >= 1):
+            raise ValueError(f"p_max must be an integer >= 1, got {self.p_max!r}")
+        if not np.isfinite(self.rel_tol):
+            raise ValueError(f"rel_tol must be finite, got {self.rel_tol!r}")
+        cfg = replace(self, alpha=alpha, tau=tau)
+        # _resolve fills the subclass's own None settings on the copy and
+        # names its starting penalties besides beta
+        with np.errstate(all="ignore"):
+            penalties = {"beta = alpha / tau": cfg.beta[alpha > 0], **cfg._resolve(shape)}
+        for name, value in penalties.items():
+            if not np.all((value >= np.finfo(np.float64).tiny) & (value < np.inf)):
+                raise ValueError(f"{name} must be a positive normal float, got {value}")
+        return cfg
 
 
-@dataclass
-class LrtcConfig:
+@dataclass(kw_only=True)
+class LrtcConfig(_SolverConfig):
     """Parameters for :func:`lrtc_solve`."""
 
-    alpha: np.ndarray
-    tau: np.ndarray | float = 10.0
     gamma: ClassVar[float] = 1.1
-    p_max: int = 500
-    rel_tol: float = 1e-4
-
-    def validated(self, ndim: int) -> "LrtcConfig":
-        return _validated(self, ndim)
 
 
-@dataclass
-class TrpcaConfig:
-    """Parameters for :func:`trpca_solve`.
+@dataclass(kw_only=True)
+class TrpcaConfig(_SolverConfig):
+    """Parameters for :func:`trpca_solve`; ``lam`` weights the l1 term, and
+    ``None`` resolves to :func:`default_lambda`."""
 
-    ``lam`` weights the l1 term (see :func:`default_lambda` for the
-    recommended value). The l1 block's penalty starts at :attr:`rho`.
-    """
-
-    alpha: np.ndarray
-    lam: float
-    tau: np.ndarray | float = 10.0
+    lam: float | None = None
     gamma: ClassVar[float] = 1.2
-    p_max: int = 500
-    rel_tol: float = 1e-4
 
     @property
     def rho(self) -> float:
         """Initial l1-block penalty, 1 / mean(tau)."""
         return 1.0 / float(np.mean(self.tau))
 
-    def validated(self, ndim: int) -> "TrpcaConfig":
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
-        return _validated(self, ndim)
+    def _resolve(self, shape) -> dict:
+        if self.lam is None:
+            self.lam = default_lambda(shape, self.alpha)
+        return {"rho = 1 / mean(tau)": self.rho, "lam / rho": self.lam / self.rho}
 
 
 @dataclass
@@ -176,7 +189,7 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     grows."""
     pairs = mode_pairs(x0.ndim)
     active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
+    beta = dict(zip(active, cfg.beta[active]))
     w = {i: np.zeros_like(x0) for i in active}
     # the dels free each array as soon as it is spent, so the first
     # iterate, a pair's unfolding and its t-SVT output never outlive
@@ -230,7 +243,7 @@ def lrtc_solve(
         raise ValueError("mask shape does not match data shape")
     if not np.isfinite(f[omega]).all():
         raise ValueError("observed entries must be finite")
-    cfg = cfg.validated(f.ndim)
+    cfg = cfg.validated(f.shape)
 
     def combine(num, beta_sum):
         x = num / beta_sum
@@ -252,7 +265,7 @@ def trpca_solve(
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input tensor must be finite")
-    cfg = cfg.validated(x.ndim)
+    cfg = cfg.validated(x.shape)
     rho = cfg.rho
     sparse = np.zeros_like(x)
     mult = np.zeros_like(x)

@@ -31,14 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ntubal import weights_uniform
-from .solvers import (
-    LrtcConfig,
-    TrpcaConfig,
-    default_lambda,
-    lrtc_solve,
-    trpca_solve,
-)
+from .solvers import LrtcConfig, TrpcaConfig, lrtc_solve, trpca_solve
 from .tensor_ops import frobenius_norm, mode_pairs, vectorize
 
 __all__ = [
@@ -214,8 +207,7 @@ def _run_completion_trial(shape, rank, sr, trial, seed, cfg_template) -> TrialRe
     gen_seed, mask_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     mask = sample_mask(shape, sr, mask_seed)
-    cfg = cfg_template or LrtcConfig(alpha=weights_uniform(len(shape)))
-    xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+    xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg_template or LrtcConfig())
     return TrialRecord(rank, sr, trial, rse(xhat, truth), report.iterations, report.converged)
 
 
@@ -223,9 +215,7 @@ def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
     gen_seed, noise_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     noisy = add_salt_pepper(truth, nl, noise_seed)
-    alpha = weights_uniform(len(shape))
-    cfg = cfg_template or TrpcaConfig(alpha=alpha, lam=default_lambda(shape, alpha))
-    low, _, report = trpca_solve(noisy, cfg)
+    low, _, report = trpca_solve(noisy, cfg_template or TrpcaConfig())
     return TrialRecord(rank, nl, trial, rse(low, truth), report.iterations, report.converged,
                        residual=report.constraint_residual)
 
@@ -284,7 +274,7 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     propagates. A bad setting raises ``ValueError`` before any trial runs:
     a shape, grid rank or level that the task's generator or corruption
     operator rejects, or a config template of the wrong class or that fails its
-    ``validated(len(shape))``.
+    ``validated(shape)``. With no template, trials run the config's defaults.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
@@ -297,7 +287,7 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     if config_template is not None:
         if not isinstance(config_template, config_cls):
             raise ValueError(f"task {task!r} takes a {config_cls.__name__} template")
-        config_template.validated(len(shape))
+        config_template.validated(shape)
     # imported here: every process that imports wstnn would pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -156,6 +156,22 @@ class TestCli:
         residual = re.search(r"relative constraint residual (\S+),", capsys.readouterr().out)
         assert float(residual.group(1)) < 1e-5
 
+    # 'auto', the default, prints default_lambda of the resolved weights
+    @pytest.mark.parametrize("argv, alpha", [
+        ([], ntubal.weights_uniform(3)),
+        (["--lambda", "auto"], ntubal.weights_uniform(3)),
+        (["--lambda", "auto", "--weights", "spectral"], ntubal.weights_spectral()),
+    ], ids=["default", "auto", "auto-spectral"])
+    def test_lambda_auto_prints_default_lambda(self, tmp_path, capsys, argv, alpha):
+        x = gen_cp_tensor(CpSpec((6, 8, 10), 1, seed=0))
+        inp = tmp_path / "x.ntb"
+        tensor_io.write_tensor(inp, x)
+        assert cli.main(["rpca", "--input", str(inp), "--max-iter", "2",
+                         "--out-low", str(tmp_path / "l.ntb"),
+                         "--out-sparse", str(tmp_path / "s.ntb")] + argv) == 0
+        lam = solvers.default_lambda(x.shape, alpha)
+        assert f"\n  lambda = {lam}\n" in capsys.readouterr().out
+
     def test_sweep_deterministic_csv(self, tmp_path):
         args = [
             "sweep", "--task", "complete", "--shape", "10,10,10",

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -46,65 +47,103 @@ class TestDefaultLambda:
         assert lam == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
+CUBE = (5, 5, 5)
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
 class TestConfigValidation:
     def test_lrtc_rejects_nonpositive_tau(self):
         cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=0.0)
         with pytest.raises(ValueError):
-            cfg.validated(3)
+            cfg.validated(CUBE)
 
     def test_lrtc_rejects_all_zero_alpha(self):
         cfg = solvers.LrtcConfig(alpha=np.zeros(3), tau=1.0)
         with pytest.raises(ValueError):
-            cfg.validated(3)
+            cfg.validated(CUBE)
 
     def test_trpca_rho_default(self):
         cfg = solvers.TrpcaConfig(
             alpha=weights_uniform(3), tau=np.array([5.0, 10.0, 15.0]), lam=0.1
-        ).validated(3)
+        ).validated(CUBE)
         assert cfg.rho == pytest.approx(0.1)
 
     def test_trpca_rejects_bad_lambda(self):
         cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=1.0, lam=0.0)
         with pytest.raises(ValueError):
-            cfg.validated(3)
+            cfg.validated(CUBE)
 
     def test_scalar_tau_broadcast(self):
-        cfg = solvers.LrtcConfig(alpha=weights_uniform(4), tau=7.0).validated(4)
+        cfg = solvers.LrtcConfig(alpha=weights_uniform(4), tau=7.0).validated((5, 5, 5, 5))
         np.testing.assert_array_equal(cfg.tau, np.full(6, 7.0))
 
-    # every non-finite setting is a ValueError at validation, before a solve
+    # every non-finite setting, and every weighted starting penalty that is
+    # not a positive normal float, is a ValueError at validation
     @pytest.mark.parametrize("check", [
-        lambda: solvers.LrtcConfig(alpha=[nan, 0.5, 0.5]).validated(3),
-        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=nan).validated(3),
-        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=inf).validated(3),
-        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=[10, nan, 10]).validated(3),
-        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=nan).validated(3),
-        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=inf).validated(3),
-        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=nan).validated(3),
-        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=inf).validated(3),
-        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1, tau=nan).validated(3),
+        lambda: solvers.LrtcConfig(alpha=[nan, 0.5, 0.5]).validated(CUBE),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=nan).validated(CUBE),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=inf).validated(CUBE),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=[10, nan, 10]).validated(CUBE),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=nan).validated(CUBE),
+        lambda: solvers.LrtcConfig(alpha=weights_uniform(3), rel_tol=inf).validated(CUBE),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=nan).validated(CUBE),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=inf).validated(CUBE),
+        lambda: solvers.TrpcaConfig(alpha=weights_uniform(3), lam=0.1, tau=nan).validated(CUBE),
         lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=nan),
         lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=inf),
         lambda: weights_rank_aware((5, 5, 5), [nan, 1, 1]),
         lambda: weights_rank_aware((5, 5, 5), [1, inf, 1]),
         lambda: weights_spectral(nan),
         lambda: weights_spectral(inf),
+        # beta_2 = 5e-324 / 10 underflows to 0; every beta_i = (1/3) / 1e308
+        # is subnormal (and rho = 1 / mean(tau) is 0)
+        lambda: solvers.LrtcConfig(alpha=(1, 5e-324, 0), tau=10).validated(CUBE),
+        lambda: solvers.TrpcaConfig(tau=1e308).validated(CUBE),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
-        "theta-nan", "theta-inf",
+        "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):
             check()
 
+    # a starting penalty that underflows is a bad setting, not a numeric
+    # breakdown mid-solve or a NaN split marked converged
+    def test_degenerate_penalty_rejected_by_solve(self):
+        x = gen_cp_tensor(CpSpec(CUBE, 1, 0))
+        mask = sample_mask(CUBE, 0.6, 1)
+        for name, solve in [
+            ("beta = alpha / tau",
+             lambda: solvers.lrtc_solve(x, mask, solvers.LrtcConfig(alpha=(1, 5e-324, 0)))),
+            (r"rho = 1 / mean\(tau\)",
+             lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(alpha=(1, 0, 0),
+                                                                tau=(10, 1e308, 1e308)))),
+            ("lam / rho", lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(lam=5e-324))),
+        ]:
+            with pytest.raises(ValueError, match=rf"^{name} must be a positive normal float"):
+                solve()
+
+    # None settings resolve to the library's defaults for the data shape
+    @pytest.mark.parametrize("shape", [(30, 30, 30), (4, 9, 16), (15, 15, 15, 15)],
+                             ids=_shape_id)
+    def test_defaults_resolve_per_shape(self, shape):
+        alpha = weights_uniform(len(shape))
+        by_hand = [solvers.LrtcConfig(alpha=alpha),
+                   solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(shape, alpha))]
+        for default, hand in zip([solvers.LrtcConfig(), solvers.TrpcaConfig()], by_hand):
+            got, want = default.validated(shape), hand.validated(shape)
+            for f in dataclasses.fields(want):
+                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+            # the CLI prints lam, so its type must match too
+            assert type(getattr(got, "lam", None)) is type(getattr(want, "lam", None))
+
 
 # unit extents and n3 = 1
 DEGENERATE_SHAPES = [(1, 1, 1), (1, 5, 4), (5, 5, 1), (3, 1, 4, 2)]
-
-
-def _shape_id(shape):
-    return "x".join(map(str, shape))
 
 
 # both solvers on random data of shapes with unit extents and n3 = 1

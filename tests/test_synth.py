@@ -300,6 +300,17 @@ class TestPhaseSweep:
         assert synth.phase_sweep(*args) == phase_sweep_serial(*args)
         assert_records_match(synth.phase_trials(*args), phase_trials_serial(*args))
 
+    # with no template the trials run the config defaults, resolved by the
+    # solver: the records equal those of the defaults built by hand
+    @pytest.mark.parametrize("task, levels", [("complete", [0.3, 0.7]), ("rpca", [0.05, 0.3])])
+    def test_no_template_runs_default_config(self, task, levels):
+        shape, alpha = (10, 10, 10), weights_uniform(3)
+        explicit = (solvers.LrtcConfig(alpha=alpha) if task == "complete" else
+                    solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(shape, alpha)))
+        grid = synth.PhaseGrid(ranks=[1, 2], levels=levels, trials=2)
+        assert (synth.phase_trials(grid, task, shape, 3)
+                == synth.phase_trials(grid, task, shape, 3, explicit))
+
     def test_errors_match_serial_reference(self, monkeypatch, caplog):
         # each trial's seed picks its outcome: a numeric breakdown of
         # either kind, a success, or a failure
