@@ -20,21 +20,27 @@ which implies the mirrored slices and returns real output.
 
 Numeric breakdowns raise ``numpy.linalg.LinAlgError``: numpy's own when
 an SVD of the Fourier slices fails, and its subclass :class:`NumericError`
-from two checks. The first runs before every batched SVD: a non-finite
-Fourier slice (a NaN or infinite entry, or a tube DFT that overflowed a
-finite input) raises, since LAPACK may return garbage on it or never
-return at all. The second is the imaginary-residue guard. ``irfft``
-silently drops the imaginary part of the self-conjugate slices, DC and
-(for even ``n3``) Nyquist. Those two slices must be real for real output,
-so their imaginary part is the residue a full inverse DFT would show. A
-residue above ``IMAG_TOL * (1 + ||x||_F)`` is treated as an
-implementation bug and raises instead of being silently discarded. The
-same guard checks the largest imaginary part over all row blocks of the
-full inverse DFT in :func:`t_svt`.
+from two checks. The first runs before every batched SVD or Gram
+eigendecomposition: a non-finite Fourier slice (a NaN or infinite entry,
+or a tube DFT that overflowed a finite input) raises, since LAPACK may
+return garbage on it or never return at all. The second is the
+imaginary-residue guard. ``irfft`` silently drops the imaginary part of
+the self-conjugate slices, DC and (for even ``n3``) Nyquist. Those two
+slices must be real for real output, so their imaginary part is the
+residue a full inverse DFT would show. A residue above
+``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
+raises instead of being silently discarded. The same guard checks the
+largest imaginary part over all row blocks of the full inverse DFT in
+:func:`t_svt`.
 
-:func:`t_svt`, the solvers' hot kernel, still transforms the full
-spectrum (:func:`dft_tubes` / :func:`idft_tubes`), and works on it in
-place, ``SVT_BLOCK`` slices at a time.
+:func:`t_svt`, the solvers' hot kernel, shrinks each Fourier slice
+through the eigendecomposition of its Gram matrix instead of an SVD (its
+docstring states the accuracy this costs). It transforms the full
+spectrum (:func:`dft_tubes` / :func:`idft_tubes`) and works on it in
+place, ``SVT_BLOCK`` slices at a time. The half spectrum would halve its
+work, but waits for the benchmark to stop counting the outputs of the
+extra passes a faster solve fits into its fixed run as peak memory
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -62,13 +68,14 @@ __all__ = [
 
 IMAG_TOL = 1e-9
 
-#: Fourier slices per batched SVD in :func:`t_svt`
+#: Fourier slices per batched Gram shrink in :func:`t_svt`
 SVT_BLOCK = 16
 
 
 class NumericError(np.linalg.LinAlgError):
-    """The Fourier slices held a non-finite value before an SVD, or an
-    inverse DFT left an imaginary residue above the tolerance."""
+    """The Fourier slices held a non-finite value before an SVD or an
+    eigendecomposition, or an inverse DFT left an imaginary residue above
+    the tolerance."""
 
 
 class TSvdFactors(NamedTuple):
@@ -128,11 +135,69 @@ def _slices_last(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, 0, 2)
 
 
+def _require_finite(stack: np.ndarray, step: str) -> None:
+    if not np.isfinite(stack).all():
+        raise NumericError(f"non-finite value in the Fourier slices before the {step}")
+
+
 def _svd(stack: np.ndarray, **kwargs):
     """Batched ``np.linalg.svd`` of a Fourier slice stack, which must be finite."""
-    if not np.isfinite(stack).all():
-        raise NumericError("non-finite value in the Fourier slices before the SVD")
+    _require_finite(stack, "SVD")
     return np.linalg.svd(stack, **kwargs)
+
+
+def _gram_shrink(stack: np.ndarray, tau: float) -> np.ndarray:
+    """Every slice of ``stack`` with its singular values shrunk by ``tau``,
+    through the eigendecomposition of its Gram matrix.
+
+    A wide slice is transposed first: the transpose has the same singular
+    values and shrinks to the transpose of the shrunk slice. The helpers
+    free their block-sized temporaries on return, so at most three are
+    alive at once, as many as an SVD's two factors and their product."""
+    if stack.shape[1] < stack.shape[2]:
+        return _gram_shrink(stack.swapaxes(1, 2), tau).swapaxes(1, 2)
+    return stack @ _shrink_weights(stack, tau)
+
+
+def _shrink_weights(stack: np.ndarray, tau: float) -> np.ndarray:
+    """``W = V diag(max(1 - tau / sigma, 0)) V^H`` for every slice ``a`` of
+    a stack of tall or square slices, where ``a^H a = V diag(sigma^2) V^H``,
+    so that ``a W`` is ``a`` with its singular values shrunk by ``tau``.
+
+    At ``tau = 0`` every factor is 1; a ``sigma <= tau`` gets an exact 0,
+    without a division."""
+    lam, v, exp = _unit_gram_eigh(stack)
+    factor = np.ones(lam.shape)
+    if tau > 0:
+        sig = np.sqrt(np.maximum(lam, 0.0))
+        # t overflows only where tau dwarfs the slice, and inf zeroes it
+        with np.errstate(over="ignore"):
+            t = np.ldexp(tau, -exp)[:, None]
+        keep = sig > t
+        np.divide(t, sig, out=factor, where=keep)
+        factor = np.where(keep, 1.0 - factor, 0.0)
+    v_h = v.conj().swapaxes(1, 2)
+    v *= factor[:, None, :]
+    return v @ v_h
+
+
+def _unit_gram_eigh(stack: np.ndarray):
+    """``eigh`` of ``a^H a`` for every slice ``a`` of the stack, each slice
+    first scaled by ``2.0**-exp``, and ``exp``; a non-finite entry raises
+    :class:`NumericError` before ``eigh`` runs.
+
+    The power of two brings the slice's largest real or imaginary part into
+    [1, 2): an exact scaling that depends on the slice alone, after which
+    the Gram matrix neither overflows nor underflows."""
+    # ldexp scales the real and imaginary parts of a C-ordered copy (a
+    # complex division by a subnormal scale would overflow in its
+    # reciprocal, and the slices of a spectrum view are not BLAS-strided)
+    a = np.array(stack, order="C")
+    parts = a.view(np.float64)
+    _require_finite(parts, "eigendecomposition")
+    exp = np.frexp(np.abs(parts).max(axis=(1, 2)))[1] - 1
+    np.ldexp(parts, -exp[:, None, None], out=parts)
+    return (*np.linalg.eigh(a.conj().swapaxes(1, 2) @ a), exp)
 
 
 def _rfft_slices(x: np.ndarray) -> np.ndarray:
@@ -217,15 +282,24 @@ def tnn(x: np.ndarray) -> float:
 def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     """Tensor singular value thresholding, the prox of ``tau * tnn``.
 
-    Shrinks the singular values of every Fourier slice by ``tau`` (thin
-    SVDs; a full factorization's zero-padded part cannot survive shrinkage)
-    and transforms back. The slices are decomposed ``SVT_BLOCK`` at a
-    time, and each shrunk block is written back into the one spectrum
-    buffer; the inverse DFT then runs over blocks of rows into one real
-    output. Each slice and tube goes through the same SVD, product and
-    DFT as in one whole-spectrum batch, so the blocks bound the working
-    set to the spectrum, the output and one block's temporaries without
-    changing a bit of the result."""
+    Shrinks the singular values of every Fourier slice by ``tau`` and
+    transforms back. The shrink goes through the eigendecomposition of each
+    slice's smaller Gram matrix, which is cheaper than an SVD
+    (``_gram_shrink``). Squaring a slice costs accuracy where a kept
+    singular value lies far below the largest: against the SVD, the
+    result's error relative to its norm is at most
+    ``min(eps * sigma_max / tau, sqrt(eps))`` (``eps`` the float64 machine
+    epsilon, ``sigma_max`` the largest Fourier singular value), so 1e-12 or
+    better for ``tau >= 1e-3 * sigma_max``. At ``tau = 0`` the result is
+    ``z`` to rounding.
+
+    The slices are shrunk ``SVT_BLOCK`` at a time, and each shrunk block is
+    written back into the one spectrum buffer; the inverse DFT then runs
+    over blocks of rows into one real output. Each slice and tube goes
+    through the same eigendecomposition, products and DFT as in one
+    whole-spectrum batch, so the blocks bound the working set to the
+    spectrum, the output and one block's temporaries without changing a
+    bit of the result."""
     if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
@@ -234,9 +308,7 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     spectrum = dft_tubes(z)
     stack = _slices_first(spectrum)
     for b in range(0, n3, SVT_BLOCK):
-        u, sig, vh = _svd(stack[b : b + SVT_BLOCK], full_matrices=False)
-        u *= np.maximum(sig - tau, 0.0)[:, None, :]
-        stack[b : b + SVT_BLOCK] = u @ vh
+        stack[b : b + SVT_BLOCK] = _gram_shrink(stack[b : b + SVT_BLOCK], tau)
     # row blocks of about SVT_BLOCK slices' worth of entries each
     rows = max(1, SVT_BLOCK * n1 // n3)
     out = np.empty(z.shape)

@@ -3,10 +3,11 @@
 The block-circulant oracle computes the t-product without any FFT. The
 full-FFT references transform every tube with ``np.fft.fft`` and work on
 all n3 Fourier slices, the textbook form of the half-spectrum code in
-``wstnn.tsvd``. ``batched_t_svt`` is the one-batch form of the blockwise
-``wstnn.tsvd.t_svt``, and ``two_buffer_admm`` the ADMM loop that keeps
-every pair's auxiliary variable and multiplier apart, the reference for
-the one-buffer ``wstnn.solvers._admm``. The serial phase sweep runs every
+``wstnn.tsvd``. ``batched_t_svt`` is ``wstnn.tsvd.t_svt`` with one batched
+SVD of the whole spectrum in place of its blockwise Gram shrink, and
+``two_buffer_admm`` the ADMM loop that keeps every pair's auxiliary
+variable and multiplier apart, the reference for the one-buffer
+``wstnn.solvers._admm``. The serial phase sweep runs every
 trial in turn in the calling process, the reference for the worker pool
 of ``wstnn.synth.phase_trials``.
 """

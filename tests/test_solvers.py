@@ -145,6 +145,10 @@ class TestConfigValidation:
 # unit extents and n3 = 1
 DEGENERATE_SHAPES = [(1, 1, 1), (1, 5, 4), (5, 5, 1), (3, 1, 4, 2)]
 
+# the same kinds of shapes drawn at random: orders 3 to 5, extents 1 to 4
+random_shapes = st.lists(st.integers(1, 4), min_size=3, max_size=5).map(tuple)
+taus = st.sampled_from([0.1, 1.0, 10.0])
+
 
 # both solvers on random data of shapes with unit extents and n3 = 1
 @settings(max_examples=25, deadline=None)
@@ -179,6 +183,35 @@ class TestLrtc:
         omega = np.zeros_like(f, dtype=bool)
         cfg = solvers.LrtcConfig(alpha=weights_uniform(len(shape)), tau=10.0)
         xhat, report = solvers.lrtc_solve(f, omega, cfg)
+        np.testing.assert_array_equal(xhat, 0.0)
+        assert report.iterations == 1
+        assert report.converged
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=random_shapes, tau=taus, seed=st.integers(0, 2**31))
+    def test_fully_observed_returns_input_random_shape(self, shape, tau, seed):
+        x = np.random.default_rng(seed).standard_normal(shape)
+        cfg = solvers.LrtcConfig(tau=tau)
+        xhat, report = solvers.lrtc_solve(x, np.ones(shape, dtype=bool), cfg)
+        np.testing.assert_array_equal(xhat, x)
+        assert report.iterations == 1
+        assert report.converged
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=random_shapes, tau=taus, seed=st.integers(0, 2**31))
+    def test_empty_mask_returns_zeros_random_shape(self, shape, tau, seed):
+        f = np.random.default_rng(seed).standard_normal(shape)
+        cfg = solvers.LrtcConfig(tau=tau)
+        xhat, report = solvers.lrtc_solve(f, np.zeros(shape, dtype=bool), cfg)
+        np.testing.assert_array_equal(xhat, 0.0)
+        assert report.iterations == 1
+        assert report.converged
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=random_shapes, tau=taus, sr=st.floats(0.05, 1.0), seed=st.integers(0, 2**31))
+    def test_zero_input_returns_zeros_random_shape(self, shape, tau, sr, seed):
+        cfg = solvers.LrtcConfig(tau=tau)
+        xhat, report = solvers.lrtc_solve(np.zeros(shape), sample_mask(shape, sr, seed), cfg)
         np.testing.assert_array_equal(xhat, 0.0)
         assert report.iterations == 1
         assert report.converged
@@ -270,6 +303,16 @@ class TestTrpca:
     def test_zero_input(self, shape):
         cfg = solvers.TrpcaConfig(alpha=weights_uniform(len(shape)), tau=10.0, lam=0.1)
         low, sparse, report = solvers.trpca_solve(np.zeros(shape), cfg)
+        np.testing.assert_array_equal(low, 0.0)
+        np.testing.assert_array_equal(sparse, 0.0)
+        assert report.constraint_residual == 0.0
+        assert report.iterations == 1
+        assert report.converged
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=random_shapes, tau=taus)
+    def test_zero_input_random_shape(self, shape, tau):
+        low, sparse, report = solvers.trpca_solve(np.zeros(shape), solvers.TrpcaConfig(tau=tau))
         np.testing.assert_array_equal(low, 0.0)
         np.testing.assert_array_equal(sparse, 0.0)
         assert report.constraint_residual == 0.0

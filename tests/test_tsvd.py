@@ -344,7 +344,7 @@ class TestTSvt:
     @pytest.mark.parametrize("n3", [tsvd.SVT_BLOCK - 1, tsvd.SVT_BLOCK, tsvd.SVT_BLOCK + 1,
                                     2 * tsvd.SVT_BLOCK], ids=["below", "at", "above", "twice"])
     @pytest.mark.parametrize("layout", ["c", "tall", "transposed"])
-    def test_blocks_match_one_batch(self, n3, layout):
+    def test_blocks_match_one_batch(self, monkeypatch, n3, layout):
         if layout == "c":
             z = random_tensor((5, 4, n3), n3)
         elif layout == "tall":
@@ -354,9 +354,12 @@ class TestTSvt:
         top = tsvd.fourier_singular_values(z).max()
         for tau in (0.0, 0.5 * top, 1.5 * top):
             out = tsvd.t_svt(z, tau)
+            with monkeypatch.context() as one_batch:
+                one_batch.setattr(tsvd, "SVT_BLOCK", n3)
+                assert out.tobytes() == tsvd.t_svt(z, tau).tobytes()
             assert out.flags.c_contiguous
-            assert out.tobytes() == oracles.batched_t_svt(z, tau).tobytes()
             assert_rel_close(out, oracles.full_t_svt(z, tau))
+            assert_rel_close(out, oracles.batched_t_svt(z, tau))
 
     def test_shrinks_fourier_singular_values(self):
         x = random_tensor((4, 4, 4), 24)
@@ -385,3 +388,77 @@ class TestTSvt:
             scale = rng.choice([1e-3, 1e-1, 1.0])
             pert = w + scale * rng.standard_normal(w.shape)
             assert objective(pert) >= best - 1e-9
+
+
+def graded_matrix(shape, sig, seed):
+    """A matrix of the given shape with singular values ``sig``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sig))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sig))))
+    return (u * sig) @ v.T
+
+
+slice_shapes = pytest.mark.parametrize("shape", [(7, 3, 5), (3, 7, 5), (5, 5, 5)],
+                                       ids=["tall", "wide", "square"])
+
+
+class TestGramShrink:
+    """Edge cases of t_svt's shrink through each slice's Gram matrix."""
+
+    # singular values of 1e-10 square to below the rounding of 1, so some
+    # of their eigenvalues come out at or below 0; at tau 0 their
+    # components must still come back whole
+    @slice_shapes
+    def test_tau_zero_returns_input(self, shape):
+        graded = np.zeros(shape)
+        k = min(shape[:2])
+        graded[:, :, 0] = graded_matrix(shape[:2], [1.0] + [1e-10] * (k - 1), 30)
+        for z in (random_tensor(shape, 30), graded):
+            np.testing.assert_allclose(tsvd.t_svt(z, 0.0), z, rtol=0.0, atol=1e-12)
+
+    # a zero slice and a singular value at or below tau shrink without a
+    # division, so no RuntimeWarning (an error in this suite) and no NaN;
+    # at 1e-310, tau over a slice's scale overflows to an infinite threshold
+    @slice_shapes
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e-310], ids=["zero", "unit", "subnormal"])
+    def test_rank_deficient_shrinks_to_exact_zeros(self, shape, scale):
+        rng = np.random.default_rng(31)
+        z = scale * np.multiply.outer(np.outer(rng.standard_normal(shape[0]),
+                                               rng.standard_normal(shape[1])),
+                                      rng.standard_normal(shape[2]))
+        top = tsvd.fourier_singular_values(z).max()
+        assert not tsvd.t_svt(z, 1.5 * max(top, 1.0)).any()
+        if top:
+            assert_rel_close(tsvd.t_svt(z, 0.5 * top), oracles.full_t_svt(z, 0.5 * top))
+
+    # squares of entries near 1e±200 would overflow or underflow
+    @slice_shapes
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_match_oracle(self, shape, scale):
+        z = scale * random_tensor(shape, 32)
+        top = oracles.full_fourier_singular_values(z).max()
+        for tau in (0.0, 0.5 * top, 1.5 * top):
+            assert_rel_close(tsvd.t_svt(z, tau), oracles.full_t_svt(z, tau))
+
+    @slice_shapes
+    def test_inf_entry_raises_numeric_error(self, shape):
+        z = random_tensor(shape, 33)
+        z[1, 2, 3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                tsvd.NumericError, match="before the eigendecomposition"):
+            tsvd.t_svt(z, 1.0)
+
+    # squaring a slice loses accuracy for a kept singular value far below
+    # the largest, within the bound t_svt's docstring states; these two
+    # cases read 1.3e-11 and 8e-10 against the SVD, above REL
+    @pytest.mark.parametrize("sig, tau", [((1.0, 1e-3, 1e-6, 1e-9), 5e-7),
+                                          ((1.0, 1e-4, 1e-8), 5e-9)], ids=["5e-7", "5e-9"])
+    def test_small_kept_singular_values_within_stated_bound(self, sig, tau):
+        # only the first frontal slice is nonzero, so every Fourier slice
+        # equals it and has singular values sig (sigma_max = 1)
+        z = np.zeros((20, 20, 4))
+        z[:, :, 0] = graded_matrix((20, 20), sig, 34)
+        eps = np.finfo(np.float64).eps
+        ref = oracles.full_t_svt(z, tau)
+        err = frobenius_norm(tsvd.t_svt(z, tau) - ref) / frobenius_norm(ref)
+        assert err <= min(eps / tau, np.sqrt(eps))
