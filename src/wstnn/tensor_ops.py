@@ -8,6 +8,11 @@ column-major (first index varies fastest), so ``vectorize`` is
     j = i_1 + sum_{s>=2} (i_s - 1) * n_1 * ... * n_{s-1}.
 
 Mode indices and mode pairs are 1-based throughout the public API.
+
+One layout rule gives every unfolding: the lead modes first, then the
+remaining modes in ascending order, flattened column-major into one last
+axis. ``vectorize`` has no lead mode, ``mode_k_unfold`` one and
+``mode_k1k2_unfold`` two; each fold is its unfolding's inverse.
 Unfoldings and folds are reshaped permutations, views of the input where
 numpy can make one (every mode-pair unfolding and fold of a three-way
 tensor is): callers must not write into one, but copy it first.
@@ -15,6 +20,8 @@ tensor is): callers must not write into one, but copy it first.
 
 from __future__ import annotations
 
+import math
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -30,40 +37,53 @@ __all__ = [
 ]
 
 
-def _check_mode(k: int, ndim: int) -> None:
-    if not 1 <= k <= ndim:
-        raise ValueError(f"mode index {k} out of range for order-{ndim} tensor")
+def _axes(modes, ndim: int, lead: int) -> list[int]:
+    """0-based axis order of an unfolding: the ``lead`` 1-based ``modes``,
+    which must be integers increasing within 1..ndim, then the rest."""
+    try:
+        ks = [operator.index(k) for k in modes]
+        valid = len(ks) == lead and all(a < b for a, b in zip([0, *ks], [*ks, ndim + 1]))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"invalid modes {modes!r} for an order-{ndim} tensor: "
+                         f"expected {lead} of 1..{ndim} as increasing integers")
+    return [k - 1 for k in ks] + [a for a in range(ndim) if a + 1 not in ks]
 
 
-def _check_pair(pair: tuple[int, int], ndim: int) -> None:
-    k1, k2 = pair
-    if not (1 <= k1 < k2 <= ndim):
-        raise ValueError(f"invalid mode pair {pair} for order-{ndim} tensor")
+def _unfold(x: np.ndarray, modes, lead: int) -> np.ndarray:
+    x = np.asarray(x)
+    axes = _axes(modes, x.ndim, lead)
+    return np.transpose(x, axes).reshape(
+        [x.shape[a] for a in axes[:lead]] + [-1], order="F"
+    )
+
+
+def _fold(y: np.ndarray, modes, lead: int, shape: tuple[int, ...]) -> np.ndarray:
+    shape = tuple(shape)
+    axes = _axes(modes, len(shape), lead)
+    extents = [shape[a] for a in axes]
+    y = np.asarray(y)
+    if y.shape != (*extents[:lead], math.prod(extents[lead:])):
+        raise ValueError(f"unfolding shape {y.shape} inconsistent with shape {shape}, "
+                         f"modes {modes}")
+    return np.transpose(y.reshape(extents, order="F"), np.argsort(axes))
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
-    """Column-major flattening of an N-way tensor."""
-    return np.asarray(x, dtype=np.float64).ravel(order="F")
+    """Column-major flattening of an N-way tensor, as float64; like
+    ``ravel(order="F")``, a view only of a Fortran-contiguous input."""
+    return _unfold(np.asfortranarray(x, dtype=np.float64), (), 0)
 
 
 def mode_k_unfold(x: np.ndarray, k: int) -> np.ndarray:
-    """Mode-k matricization: n_k x prod_{s != k} n_s, remaining modes in
-    ascending order, column-major."""
-    x = np.asarray(x)
-    _check_mode(k, x.ndim)
-    return np.moveaxis(x, k - 1, 0).reshape(x.shape[k - 1], -1, order="F")
+    """Mode-k matricization, n_k x prod_{s != k} n_s."""
+    return _unfold(x, (k,), 1)
 
 
 def mode_k_fold(m: np.ndarray, k: int, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`mode_k_unfold` for the given target shape."""
-    shape = tuple(shape)
-    _check_mode(k, len(shape))
-    n_k = shape[k - 1]
-    rest = tuple(n for i, n in enumerate(shape, start=1) if i != k)
-    m = np.asarray(m)
-    if m.shape != (n_k, int(np.prod(rest, dtype=np.int64))):
-        raise ValueError(f"matrix shape {m.shape} inconsistent with shape {shape}, k={k}")
-    return np.moveaxis(m.reshape((n_k,) + rest, order="F"), 0, k - 1)
+    return _fold(m, (k,), 1, shape)
 
 
 def mode_pairs(ndim: int) -> list[tuple[int, int]]:
@@ -72,37 +92,16 @@ def mode_pairs(ndim: int) -> list[tuple[int, int]]:
 
 
 def mode_k1k2_unfold(x: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Three-way unfolding n_{k1} x n_{k2} x d, where d collects the
-    remaining modes in ascending order, column-major. For N=3 this is a
-    pure permutation of modes."""
-    x = np.asarray(x)
-    _check_pair(pair, x.ndim)
-    k1, k2 = pair
-    rest = [m for m in range(1, x.ndim + 1) if m not in (k1, k2)]
-    perm = [k1 - 1, k2 - 1] + [m - 1 for m in rest]
-    return np.transpose(x, perm).reshape(
-        x.shape[k1 - 1], x.shape[k2 - 1], -1, order="F"
-    )
+    """Three-way unfolding n_{k1} x n_{k2} x d. For N=3 this is a pure
+    permutation of modes."""
+    return _unfold(x, pair, 2)
 
 
 def mode_k1k2_fold(
     y: np.ndarray, pair: tuple[int, int], shape: tuple[int, ...]
 ) -> np.ndarray:
     """Inverse of :func:`mode_k1k2_unfold` for the given target shape."""
-    shape = tuple(shape)
-    _check_pair(pair, len(shape))
-    k1, k2 = pair
-    rest = [m for m in range(1, len(shape) + 1) if m not in (k1, k2)]
-    d = int(np.prod([shape[m - 1] for m in rest], dtype=np.int64))
-    y = np.asarray(y)
-    if y.shape != (shape[k1 - 1], shape[k2 - 1], d):
-        raise ValueError(
-            f"unfolding shape {y.shape} inconsistent with shape {shape}, pair {pair}"
-        )
-    permuted_shape = [shape[k1 - 1], shape[k2 - 1]] + [shape[m - 1] for m in rest]
-    perm = [k1 - 1, k2 - 1] + [m - 1 for m in rest]
-    inv = np.argsort(perm)
-    return np.transpose(y.reshape(permuted_shape, order="F"), inv)
+    return _fold(y, pair, 2, shape)
 
 
 def frobenius_norm(x: np.ndarray) -> float:

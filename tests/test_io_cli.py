@@ -74,14 +74,19 @@ class TestTensorFile:
 
 
 class TestCli:
+    # on 12^3 every mode-pair unfolding is a pure permutation; on the
+    # 4-way draw each also merges the two remaining modes
     def test_rank_prints_n_tubal(self, tmp_path, capsys):
-        x = gen_cp_tensor(CpSpec((12, 12, 12), 5, seed=0))
-        path = tmp_path / "x.ntb"
-        tensor_io.write_tensor(path, x)
-        assert cli.main(["rank", "--input", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "N-tubal rank: 5 5 5" in out
-        assert "Tucker rank:  5 5 5" in out
+        for shape, rank, n_tubal, tucker in [
+            ((12, 12, 12), 5, "5 5 5", "5 5 5"),
+            ((6, 7, 5, 4), 2, "2 2 2 2 2 2", "2 2 2 2"),
+        ]:
+            path = tmp_path / f"x{len(shape)}.ntb"
+            tensor_io.write_tensor(path, gen_cp_tensor(CpSpec(shape, rank, seed=0)))
+            assert cli.main(["rank", "--input", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert f"N-tubal rank: {n_tubal}\n" in out
+            assert f"Tucker rank:  {tucker}\n" in out
 
     def test_complete_full_observation(self, tmp_path, capsys):
         x = gen_cp_tensor(CpSpec((10, 10, 10), 2, seed=1))

@@ -21,7 +21,15 @@ def brute_force_j(indices, shape, skip):
     return j
 
 
-shapes = st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5)
+def assert_index_map(x, unfolded, lead):
+    """Element idx of ``x`` sits in ``unfolded`` at its indices along the
+    ``lead`` modes, then the brute-force flat index of the remaining modes."""
+    for idx in np.ndindex(x.shape):
+        j = brute_force_j(idx, x.shape, skip=lead)
+        assert unfolded[tuple(idx[k - 1] for k in lead) + (j,)] == x[idx]
+
+
+shapes = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5)
 
 
 def random_tensor(shape, seed=0):
@@ -52,6 +60,12 @@ class TestVectorize:
         for idx in np.ndindex(shape):
             assert v[brute_force_j(idx, shape, skip=())] == x[idx]
 
+    @settings(max_examples=30, deadline=None)
+    @given(shape=shapes)
+    def test_index_map_property(self, shape):
+        x = random_tensor(shape, 11)
+        assert_index_map(x, top.vectorize(x), lead=())
+
 
 class TestModeKUnfold:
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 2), (3, 1, 2, 2, 2)])
@@ -77,8 +91,14 @@ class TestModeKUnfold:
                 assert m[idx[k - 1], j] == x[idx]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            top.mode_k_unfold(random_tensor((2, 2, 2)), 4)
+        x = random_tensor((2, 2, 2))
+        m = top.mode_k_unfold(x, 1)
+        # out of range, or not one integer
+        for k in [4, 0, 1.5, 2.0, (1,)]:
+            with pytest.raises(ValueError, match="invalid modes"):
+                top.mode_k_unfold(x, k)
+            with pytest.raises(ValueError, match="invalid modes"):
+                top.mode_k_fold(m, k, (2, 2, 2))
 
     def test_fold_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -87,6 +107,16 @@ class TestModeKUnfold:
     def test_fold_zero(self):
         out = top.mode_k_fold(np.zeros((3, 8)), 2, (2, 3, 4))
         np.testing.assert_array_equal(out, np.zeros((2, 3, 4)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=shapes)
+    def test_roundtrip_property(self, shape):
+        shape = tuple(shape)
+        x = random_tensor(shape, 12)
+        for k in range(1, len(shape) + 1):
+            m = top.mode_k_unfold(x, k)
+            assert_index_map(x, m, lead=(k,))
+            np.testing.assert_array_equal(top.mode_k_fold(m, k, shape), x)
 
 
 class TestModePairs:
@@ -143,9 +173,12 @@ class TestModeK1K2:
 
     def test_invalid_pair(self):
         x = random_tensor((2, 2, 2), 10)
-        for pair in [(2, 1), (0, 1), (1, 4), (2, 2)]:
-            with pytest.raises(ValueError):
+        # out of range or not increasing, not two modes, or not integers
+        for pair in [(2, 1), (0, 1), (1, 4), (2, 2), (1, 2, 3), (1,), 3, (1.0, 2), (1, 1.5)]:
+            with pytest.raises(ValueError, match="invalid modes"):
                 top.mode_k1k2_unfold(x, pair)
+            with pytest.raises(ValueError, match="invalid modes"):
+                top.mode_k1k2_fold(x, pair, x.shape)
 
     def test_fold_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -155,10 +188,23 @@ class TestModeK1K2:
     @given(shape=shapes, data=st.data())
     def test_roundtrip_property(self, shape, data):
         shape = tuple(shape)
-        pair = data.draw(st.sampled_from(top.mode_pairs(len(shape))))
         x = random_tensor(shape, data.draw(st.integers(0, 2**31)))
-        back = top.mode_k1k2_fold(top.mode_k1k2_unfold(x, pair), pair, shape)
-        np.testing.assert_array_equal(back, x)
+        for pair in top.mode_pairs(len(shape)):
+            y = top.mode_k1k2_unfold(x, pair)
+            assert_index_map(x, y, lead=pair)
+            np.testing.assert_array_equal(top.mode_k1k2_fold(y, pair, shape), x)
+
+    # the solvers' unfold and fold copy nothing on three-way data
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3))
+    def test_three_way_views(self, shape):
+        x = random_tensor(shape, 13)
+        for pair in top.mode_pairs(3):
+            y = top.mode_k1k2_unfold(x, pair)
+            fresh = y.copy()
+            assert np.shares_memory(y, x)
+            assert np.shares_memory(top.mode_k1k2_fold(y, pair, shape), x)
+            assert np.shares_memory(top.mode_k1k2_fold(fresh, pair, shape), fresh)
 
 
 class TestNorms:

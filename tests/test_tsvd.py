@@ -227,6 +227,24 @@ class TestHalfSpectrum:
         with pytest.raises(tsvd.NumericError):
             tsvd.t_svd(random_tensor((4, 3, n3), 26))
 
+    # t_svt's guard: a shrunk DC or Nyquist slice turned imaginary must
+    # raise, whether t_svt inverts the full spectrum or the half
+    @pytest.mark.parametrize(
+        "n3, where", [(5, 0), (6, 0), (6, 3)], ids=["dc-odd", "dc-even", "nyquist"]
+    )
+    def test_t_svt_non_real_self_conjugate_slice_raises(self, monkeypatch, n3, where):
+        shrink = tsvd._gram_shrink
+        assert n3 <= tsvd.SVT_BLOCK  # one block: slice indices are global
+
+        def phased_shrink(stack, tau):
+            out = shrink(stack, tau)
+            out[where] *= 1j
+            return out
+
+        monkeypatch.setattr(tsvd, "_gram_shrink", phased_shrink)
+        with pytest.raises(tsvd.NumericError, match="imaginary residue"):
+            tsvd.t_svt(random_tensor((4, 3, n3), 28), 0.1)
+
     # a NaN stops at the finite check before the SVD; its NumericError is a
     # LinAlgError, like numpy's own SVD failure, so one except catches both
     @pytest.mark.parametrize("op", [tsvd.t_svd, lambda x: tsvd.t_svt(x, 1.0)],
