@@ -123,7 +123,8 @@ class TrpcaConfig(_SolverConfig):
 @dataclass
 class SolveReport:
     rel_change_trace: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
+    #: seconds the solve took; not compared, so equal solves give equal reports
+    wall_time: float = field(default=0.0, compare=False)
     #: robust PCA's final ||x - low - sparse|| / ||x|| (0.0 at x = 0); None for completion
     constraint_residual: float | None = None
     #: True when the relative change fell below rel_tol, False when the

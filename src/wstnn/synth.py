@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solvers import LrtcConfig, TrpcaConfig, lrtc_solve, trpca_solve
+from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
 from .tensor_ops import frobenius_norm, mode_pairs, vectorize
 
 __all__ = [
@@ -189,18 +189,15 @@ def _trial_seed(base_seed: int, cell: int, trial: int) -> np.random.SeedSequence
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One sweep trial; ``residual`` is the robust-PCA solve's relative
-    ``constraint_residual``. A numeric breakdown reads ``error``, RSE NaN
-    and 0 sweeps."""
+    """One sweep trial and its solve's own :class:`~wstnn.solvers.SolveReport`.
+    A numeric breakdown reads ``error``, RSE NaN and an empty report."""
 
     rank: int
     level: float
     trial: int
     rse: float
-    sweeps: int
-    converged: bool
+    report: SolveReport
     error: bool = False
-    residual: float | None = None
 
 
 def _run_completion_trial(shape, rank, sr, trial, seed, cfg_template) -> TrialRecord:
@@ -208,7 +205,7 @@ def _run_completion_trial(shape, rank, sr, trial, seed, cfg_template) -> TrialRe
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     mask = sample_mask(shape, sr, mask_seed)
     xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg_template or LrtcConfig())
-    return TrialRecord(rank, sr, trial, rse(xhat, truth), report.iterations, report.converged)
+    return TrialRecord(rank, sr, trial, rse(xhat, truth), report)
 
 
 def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
@@ -216,8 +213,7 @@ def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     noisy = add_salt_pepper(truth, nl, noise_seed)
     low, _, report = trpca_solve(noisy, cfg_template or TrpcaConfig())
-    return TrialRecord(rank, nl, trial, rse(low, truth), report.iterations, report.converged,
-                       residual=report.constraint_residual)
+    return TrialRecord(rank, nl, trial, rse(low, truth), report)
 
 
 def _run_trial(task, shape, rank, level, trial, seed, cfg_template) -> TrialRecord:
@@ -269,12 +265,13 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     in submission order. A numeric breakdown in a trial (a
     ``numpy.linalg.LinAlgError``; :class:`~wstnn.tsvd.NumericError` is one)
     is logged on this module's logger, in the calling process and in trial
-    order, and gives an ``error`` record. Any other exception is a
-    programming error: the pending trials are cancelled and the exception
-    propagates. A bad setting raises ``ValueError`` before any trial runs:
-    a shape, grid rank or level that the task's generator or corruption
-    operator rejects, or a config template of the wrong class or that fails its
-    ``validated(shape)``. With no template, trials run the config's defaults.
+    order, and gives an ``error`` record with an empty report. Any other
+    exception is a programming error: the pending trials are cancelled and
+    the exception propagates. A bad setting raises ``ValueError`` before any
+    trial runs: a shape, grid rank or level that the task's generator or
+    corruption operator rejects, or a config template of the wrong class or
+    that fails its ``validated(shape)``. With no template, trials run the
+    config's defaults.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
@@ -320,7 +317,8 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
                 except np.linalg.LinAlgError:
                     logger.exception("trial failed (rank=%s, level=%s, trial=%s)",
                                      rank, level, trial)
-                    records.append(TrialRecord(rank, level, trial, np.nan, 0, False, error=True))
+                    records.append(TrialRecord(rank, level, trial, np.nan, SolveReport(),
+                                               error=True))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

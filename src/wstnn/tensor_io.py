@@ -33,14 +33,16 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path: str | Path, x: np.ndarray) -> None:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype="<f8")
     if x.ndim < 1 or 0 in x.shape:
         raise ValueError("tensor must have at least one mode and no zero extents")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        fh.write(x.ravel(order="F").astype("<f8").tobytes())
+        # one copy of a native float64 payload, none of a column-major one:
+        # the file takes the ravel's buffer as it is
+        fh.write(x.ravel(order="F"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

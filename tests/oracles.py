@@ -144,7 +144,7 @@ def phase_trials_serial(grid, task, shape, base_seed=0, cfg=None):
             try:
                 records.append(synth._run_trial(task, shape, rank, level, trial, seed, cfg))
             except np.linalg.LinAlgError:
-                records.append(synth.TrialRecord(rank, level, trial, np.nan, 0, False, True))
+                records.append(synth.TrialRecord(rank, level, trial, np.nan, SolveReport(), True))
     return records
 
 

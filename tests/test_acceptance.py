@@ -198,8 +198,8 @@ def run_trpca_cells():
     grid = synth.PhaseGrid(ranks=[2], levels=[0.1], trials=10)
     records = synth.phase_trials(grid, "rpca", shape, RNG_BASE + 300, cfg)
     successes = sum(r.rse < grid.success_threshold for r in records)
-    residual_ok = all(r.residual < 1e-6 for r in records)
-    rows = [[r.trial, repr(r.rse), repr(r.residual)] for r in records]
+    residual_ok = all(r.report.constraint_residual < 1e-6 for r in records)
+    rows = [[r.trial, repr(r.rse), repr(r.report.constraint_residual)] for r in records]
     return (successes, residual_ok, lam), _csv_bytes(["trial", "rse", "rel_residual"], rows)
 
 

@@ -20,6 +20,22 @@ class TestTensorFile:
         assert back.shape == x.shape
         np.testing.assert_array_equal(back, x)
 
+    # the payload is the column-major ravel in little-endian float64
+    # whatever the input's memory order, strides or byte order
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "big-endian"])
+    def test_payload_bytes_any_layout(self, tmp_path, layout):
+        x = np.random.default_rng(1).standard_normal((6, 5, 8, 3))
+        arr = {"C": x, "F": np.asfortranarray(x), "strided": x[::2, :, 1::3],
+               "big-endian": x.astype(">f8")}[layout]
+        path = tmp_path / "x.ntb"
+        tensor_io.write_tensor(path, arr)
+        header = (tensor_io.MAGIC + arr.ndim.to_bytes(8, "little")
+                  + b"".join(n.to_bytes(8, "little") for n in arr.shape))
+        assert path.read_bytes() == header + arr.ravel(order="F").astype("<f8").tobytes()
+        back = tensor_io.read_tensor(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, arr)
+
     def test_roundtrip_one_way(self, tmp_path):
         x = np.array([1.5, -2.25, 3.0])
         path = tmp_path / "v.ntb"

@@ -9,17 +9,26 @@ import pytest
 from oracles import phase_sweep_serial, phase_trials_serial
 from wstnn import solvers, synth
 from wstnn.ntubal import estimate_n_tubal_rank, weights_uniform
+from wstnn.solvers import SolveReport
 from wstnn.tsvd import NumericError
 
 
+def _exact_and_close(record):
+    report = record.report
+    residual = np.nan if report.constraint_residual is None else report.constraint_residual
+    return ((record.rank, record.level, record.trial, record.error,
+             report.iterations, report.converged),
+            [record.rse, residual, *report.rel_change_trace])
+
+
 def assert_records_match(got, want):
-    """Equal records, RSE and residual to 1e-9 relative (NaN matches NaN)."""
+    """Equal records; the RSE, the constraint residual and the relative
+    changes to 1e-9 relative (NaN matches NaN)."""
     (exact, close), (exact_want, close_want) = (
-        ([replace(r, rse=0.0, residual=0.0) for r in records],
-         [(r.rse, np.nan if r.residual is None else r.residual) for r in records])
-        for records in (got, want))
+        zip(*map(_exact_and_close, records)) for records in (got, want))
     assert exact == exact_want
-    np.testing.assert_allclose(close, close_want, rtol=1e-9)
+    for values, values_want in zip(close, close_want):
+        np.testing.assert_allclose(values, values_want, rtol=1e-9)
 
 
 class TestCpSpec:
@@ -186,7 +195,7 @@ class TestPhaseSweep:
     def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
         def trial(shape, rank, level, index, seed, cfg):
             (tmp_path / f"{rank}-{seed.spawn_key}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
+            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1, 2, 6], levels=[0.5], trials=2)
@@ -219,7 +228,7 @@ class TestPhaseSweep:
                                                    task, shape, levels, cfg):
         def trial(shape, rank, level, index, seed, cfg):
             (tmp_path / f"{level}-{seed.spawn_key}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
+            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         monkeypatch.setattr(synth, "_run_rpca_trial", trial)
@@ -272,7 +281,7 @@ class TestPhaseSweep:
                 raise TypeError("bug")
             time.sleep(0.05)
             (tmp_path / f"{index}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, 1, True)
+            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=40)
@@ -320,7 +329,7 @@ class TestPhaseSweep:
                 raise NumericError("breakdown")
             if outcome == 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return synth.TrialRecord(rank, level, index, outcome - 2.0, 3, outcome == 2)
+            return synth.TrialRecord(rank, level, index, outcome - 2.0, SolveReport())
 
         monkeypatch.setattr(synth, "_run_rpca_trial", trial)
         grid = synth.PhaseGrid(ranks=[1, 2, 2], levels=[0.1, 0.2], trials=5)
@@ -338,9 +347,65 @@ class TestPhaseSweep:
         get_threads.restype = ctypes.c_int
 
         def trial(shape, rank, level, index, seed, cfg):
-            return synth.TrialRecord(rank, level, index, float(get_threads() != 1), 1, True)
+            return synth.TrialRecord(rank, level, index, float(get_threads() != 1), SolveReport())
 
         monkeypatch.setattr(synth, "_run_completion_trial", trial)
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=4)
         rows = synth.phase_sweep(grid, "complete", (5, 5, 5))
         assert rows[0]["successes"] == 4
+
+
+class TestTrialRecords:
+    """Each record carries its own solve's report, the one a direct solve
+    of the same seeded instance returns."""
+
+    @staticmethod
+    def _direct_report(task, shape, rank, level, seed, cfg):
+        gen_seed, corrupt_seed = seed.spawn(2)
+        truth = synth.gen_cp_tensor(synth.CpSpec(shape, rank, gen_seed))
+        if task == "complete":
+            mask = synth.sample_mask(shape, level, corrupt_seed)
+            return solvers.lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)[1]
+        return solvers.trpca_solve(synth.add_salt_pepper(truth, level, corrupt_seed), cfg)[2]
+
+    # 10^3 trials of 18-58 sweeps with mixed outcomes
+    @pytest.mark.parametrize("task, levels, cfg", [
+        ("complete", [0.3, 0.7], solvers.LrtcConfig(tau=3.0)),
+        ("rpca", [0.05, 0.3], solvers.TrpcaConfig(tau=3.0)),
+    ])
+    def test_report_matches_direct_solve(self, task, levels, cfg):
+        shape, base_seed = (10, 10, 10), 5
+        grid = synth.PhaseGrid(ranks=[1, 2], levels=levels, trials=2)
+        records = synth.phase_trials(grid, task, shape, base_seed, cfg)
+        cells = [(rank, level) for rank in grid.ranks for level in grid.levels]
+        keys = [(rank, level, trial) for rank, level in cells for trial in range(grid.trials)]
+        assert [(r.rank, r.level, r.trial) for r in records] == keys
+        for record, (rank, level, trial) in zip(records, keys):
+            seed = synth._trial_seed(base_seed, cells.index((rank, level)), trial)
+            want = self._direct_report(task, shape, rank, level, seed, cfg)
+            got = record.report
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            np.testing.assert_allclose(got.rel_change_trace, want.rel_change_trace, rtol=1e-9)
+            if task == "complete":
+                assert got.constraint_residual is want.constraint_residual is None
+            else:
+                np.testing.assert_allclose(got.constraint_residual, want.constraint_residual,
+                                           rtol=1e-9)
+            assert got.wall_time > 0 and not record.error
+
+    def test_breakdown_record_has_empty_report(self, monkeypatch):
+        def solve(*args):
+            raise NumericError("breakdown")
+
+        monkeypatch.setattr(synth, "trpca_solve", solve)
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.1], trials=2)
+        for record in synth.phase_trials(grid, "rpca", (5, 5, 5)):
+            assert record.error and np.isnan(record.rse) and record.report == SolveReport()
+            assert (record.report.iterations, record.report.converged,
+                    record.report.constraint_residual) == (0, False, None)
+
+    def test_reports_equal_up_to_wall_time(self):
+        report = SolveReport([np.inf, 0.5, 5e-5], wall_time=1.0, converged=True)
+        assert report == replace(report, wall_time=2.0)
+        assert report != replace(report, rel_change_trace=[np.inf, 0.5, 6e-5])
+        assert report != replace(report, converged=False)
