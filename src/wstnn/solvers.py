@@ -131,14 +131,15 @@ class SolveReport:
     #: solve ran out of p_max sweeps first
     converged: bool = False
 
-    # the sweep count and the last change, read from the trace
+    # the sweep count and the last change, read from the trace; a report
+    # with no sweeps (a breakdown trial's) has no last change and reads NaN
     @property
     def iterations(self) -> int:
         return len(self.rel_change_trace)
 
     @property
     def final_rel_change(self) -> float:
-        return self.rel_change_trace[-1]
+        return self.rel_change_trace[-1] if self.rel_change_trace else float("nan")
 
 
 def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
-from .tensor_ops import frobenius_norm, mode_pairs, vectorize
+from .tensor_ops import frobenius_norm, mode_pairs
 
 __all__ = [
     "CpSpec",
@@ -78,15 +78,17 @@ def _factors_admissible(factors: list[np.ndarray], shape: tuple[int, ...], r: in
     if any(np.linalg.matrix_rank(a) < r for a in factors):
         return False
     # condition 2: for every mode pair, the DFT of each collapsed
-    # remaining-factor vector has no (near-)zero coefficient
+    # remaining-factor vector has no (near-)zero coefficient. Row i of the
+    # (transposed) Khatri-Rao product of the remaining factors is term i's
+    # vector: the column-major vectorized outer product of its factors
     ndim = len(shape)
     for k1, k2 in mode_pairs(ndim):
-        rest = [m for m in range(1, ndim + 1) if m not in (k1, k2)]
-        for i in range(r):
-            outer = reduce(np.multiply.outer, (factors[m - 1][:, i] for m in rest))
-            spectrum = np.fft.fft(vectorize(np.atleast_1d(outer)))
-            if np.abs(spectrum).min() <= DFT_NONZERO_TOL:
-                return False
+        rest = [factors[m - 1].T for m in range(1, ndim + 1) if m not in (k1, k2)]
+        rows = rest[0]
+        for a in rest[1:]:
+            rows = (a[:, :, None] * rows[:, None, :]).reshape(r, -1)
+        if np.abs(np.fft.fft(rows, axis=1)).min() <= DFT_NONZERO_TOL:
+            return False
     return True
 
 

@@ -30,14 +30,14 @@ slices must be real for real output, so their imaginary part is the
 residue a full inverse DFT would show. A residue above
 ``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
 raises instead of being silently discarded. The same guard checks the
-largest imaginary part over all row blocks of the full inverse DFT in
-:func:`t_svt`.
+largest imaginary part of the full inverse DFT in :func:`t_svt`.
 
 :func:`t_svt`, the solvers' hot kernel, shrinks each Fourier slice
 through the eigendecomposition of its Gram matrix instead of an SVD (its
 docstring states the accuracy this costs). It transforms the full
-spectrum (:func:`dft_tubes` / :func:`idft_tubes`) and works on it in
-place, ``SVT_BLOCK`` slices at a time. The half spectrum would halve its
+spectrum (:func:`dft_tubes` / :func:`idft_tubes`) and shrinks it in
+place, ``SVT_BLOCK`` slices at a time: the shrink's temporaries, not the
+transforms, set its working set. The half spectrum would halve its
 work, but waits for the benchmark to stop counting the outputs of the
 extra passes a faster solve fits into its fixed run as peak memory
 (ROADMAP item 1).
@@ -294,28 +294,23 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     ``z`` to rounding.
 
     The slices are shrunk ``SVT_BLOCK`` at a time, and each shrunk block is
-    written back into the one spectrum buffer; the inverse DFT then runs
-    over blocks of rows into one real output. Each slice and tube goes
-    through the same eigendecomposition, products and DFT as in one
-    whole-spectrum batch, so the blocks bound the working set to the
-    spectrum, the output and one block's temporaries without changing a
-    bit of the result."""
+    written back into the one spectrum buffer. Each slice goes through the
+    same eigendecomposition and products as in one whole-spectrum batch, so
+    the blocks bound the working set to the spectrum and one block's
+    temporaries without changing a bit of the result. The inverse DFT runs
+    in one call and needs no blocks: the spectrum and its inverse hold no
+    more than the forward ``fft``, which converts the real input to a
+    complex copy beside the spectrum, and the spectrum is dropped before
+    the real part is copied out."""
     if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
-    n1, _, n3 = z.shape
     ref_norm = frobenius_norm(z)
     spectrum = dft_tubes(z)
     stack = _slices_first(spectrum)
-    for b in range(0, n3, SVT_BLOCK):
+    for b in range(0, z.shape[2], SVT_BLOCK):
         stack[b : b + SVT_BLOCK] = _gram_shrink(stack[b : b + SVT_BLOCK], tau)
-    # row blocks of about SVT_BLOCK slices' worth of entries each
-    rows = max(1, SVT_BLOCK * n1 // n3)
-    out = np.empty(z.shape)
-    resid = 0.0
-    for r in range(0, n1, rows):
-        y = idft_tubes(spectrum[r : r + rows])
-        out[r : r + rows] = y.real
-        resid = max(resid, float(np.abs(y.imag).max(initial=0.0)))
-    _check_residue(resid, ref_norm)
-    return out
+    y = idft_tubes(spectrum)
+    del spectrum, stack
+    _check_residue(float(np.abs(y.imag).max(initial=0.0)), ref_norm)
+    return np.ascontiguousarray(y.real)

@@ -9,16 +9,25 @@ SVD of the whole spectrum in place of its blockwise Gram shrink, and
 variable and multiplier apart, the reference for the one-buffer
 ``wstnn.solvers._admm``. The serial phase sweep runs every
 trial in turn in the calling process, the reference for the worker pool
-of ``wstnn.synth.phase_trials``.
+of ``wstnn.synth.phase_trials``, and ``factors_admissible_loop`` checks a
+draw one rank-one term at a time, the reference for the one DFT per mode
+pair of ``wstnn.synth._factors_admissible``.
 """
 
 import time
+from functools import reduce
 
 import numpy as np
 
 from wstnn import synth
 from wstnn.solvers import PENALTY_MAX, SolveReport, _rel_change
-from wstnn.tensor_ops import frobenius_norm, mode_k1k2_fold, mode_k1k2_unfold, mode_pairs
+from wstnn.tensor_ops import (
+    frobenius_norm,
+    mode_k1k2_fold,
+    mode_k1k2_unfold,
+    mode_pairs,
+    vectorize,
+)
 from wstnn.tsvd import _check_residue, _svd, dft_tubes, idft_tubes, t_svt
 
 
@@ -151,3 +160,19 @@ def phase_trials_serial(grid, task, shape, base_seed=0, cfg=None):
 def phase_sweep_serial(grid, task, shape, base_seed=0, cfg=None):
     """``synth.phase_sweep`` rows, counted from :func:`phase_trials_serial`."""
     return synth._rows(grid, phase_trials_serial(grid, task, shape, base_seed, cfg))
+
+
+def factors_admissible_loop(factors, shape, r):
+    """``synth._factors_admissible`` with one outer product, one
+    vectorization and one DFT per rank-one term and mode pair."""
+    if any(np.linalg.matrix_rank(a) < r for a in factors):
+        return False
+    ndim = len(shape)
+    for k1, k2 in mode_pairs(ndim):
+        rest = [m for m in range(1, ndim + 1) if m not in (k1, k2)]
+        for i in range(r):
+            outer = reduce(np.multiply.outer, (factors[m - 1][:, i] for m in rest))
+            spectrum = np.fft.fft(vectorize(np.atleast_1d(outer)))
+            if np.abs(spectrum).min() <= synth.DFT_NONZERO_TOL:
+                return False
+    return True

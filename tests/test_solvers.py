@@ -1,6 +1,5 @@
 import dataclasses
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy import inf, nan
 from oracles import two_buffer_admm
-from test_tsvd import small_shapes
+from test_tsvd import small_shapes, traced_peak
 
 from wstnn import solvers
 from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform, wstnn
@@ -256,6 +255,11 @@ class TestLrtc:
         assert report.converged
         assert report.wall_time > 0
 
+    # a breakdown trial's record carries SolveReport(), with no sweeps
+    def test_empty_report_final_change_is_nan(self):
+        report = solvers.SolveReport()
+        assert report.iterations == 0 and np.isnan(report.final_rel_change)
+
     # full-rank data, so the weights decide the answer: the solve under alpha
     # must score no worse on wstnn(., alpha) than the solve under weights
     # proportional to alpha_i * d_i, d_i the product of the other extents;
@@ -454,15 +458,6 @@ class TestWorkingSet:
     """Peak memory a 5-sweep solve allocates, as a multiple of the data size
     (one buffer per pair, and t-SVT's slice blocks)."""
 
-    @staticmethod
-    def _peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("shape", [(12, 12, 12, 12), (8, 9, 10, 11), (30, 30, 30)],
                              ids=_shape_id)
     def test_peak_within_budget(self, shape):
@@ -471,8 +466,8 @@ class TestWorkingSet:
         mask = sample_mask(shape, 0.5, 1)
         f = np.where(mask, truth, 0.0)
         lrtc_cfg = solvers.LrtcConfig(alpha=alpha, p_max=5)
-        assert self._peak(solvers.lrtc_solve, f, mask, lrtc_cfg) <= 16 * f.nbytes
+        assert traced_peak(solvers.lrtc_solve, f, mask, lrtc_cfg) <= 16 * f.nbytes
         noisy = add_salt_pepper(truth, 0.1, 2)
         trpca_cfg = solvers.TrpcaConfig(alpha=alpha, lam=solvers.default_lambda(shape, alpha),
                                         p_max=5)
-        assert self._peak(solvers.trpca_solve, noisy, trpca_cfg) <= 18 * noisy.nbytes
+        assert traced_peak(solvers.trpca_solve, noisy, trpca_cfg) <= 18 * noisy.nbytes

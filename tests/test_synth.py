@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import phase_sweep_serial, phase_trials_serial
+from oracles import factors_admissible_loop, phase_sweep_serial, phase_trials_serial
 from wstnn import solvers, synth
 from wstnn.ntubal import estimate_n_tubal_rank, weights_uniform
 from wstnn.solvers import SolveReport
@@ -79,6 +81,21 @@ class TestGenCpTensor:
     def test_four_way_rank(self):
         x = synth.gen_cp_tensor(synth.CpSpec((8, 8, 8, 8), 2, seed=13))
         np.testing.assert_array_equal(estimate_n_tubal_rank(x), [2] * 6)
+
+    # small-integer factors give exact zeros in the spectra and rank-deficient
+    # sets, so both decisions occur; the one-DFT check must agree with the
+    # per-term loop on every draw, or gen_cp_tensor's draws would change
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.lists(st.integers(1, 4), min_size=3, max_size=5), r=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), integral=st.booleans())
+    def test_admissible_matches_loop(self, shape, r, seed, integral):
+        rng = np.random.default_rng(seed)
+        if integral:
+            factors = [rng.integers(-1, 2, (n, r)).astype(float) for n in shape]
+        else:
+            factors = [rng.uniform(-1.0, 1.0, (n, r)) for n in shape]
+        want = factors_admissible_loop(factors, tuple(shape), r)
+        assert synth._factors_admissible(factors, tuple(shape), r) == want
 
 
 class TestSampleMask:
@@ -403,6 +420,7 @@ class TestTrialRecords:
             assert record.error and np.isnan(record.rse) and record.report == SolveReport()
             assert (record.report.iterations, record.report.converged,
                     record.report.constraint_residual) == (0, False, None)
+            assert np.isnan(record.report.final_rel_change)
 
     def test_reports_equal_up_to_wall_time(self):
         report = SolveReport([np.inf, 0.5, 5e-5], wall_time=1.0, converged=True)

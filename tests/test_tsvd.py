@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,16 @@ REL = 1e-12
 
 def random_tensor(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 small_shapes = st.tuples(
@@ -357,8 +369,8 @@ class TestTSvt:
         np.testing.assert_allclose(tsvd.t_svt(x, tau), 0.0, atol=1e-12)
 
     # n3 below, at, above and twice the slice block; a tall tensor and a
-    # transposed view whose spectrum is not C-ordered. Blocking must not
-    # change a bit of the one-batch result
+    # transposed view whose spectrum is not C-ordered. The shrink blocks
+    # must not change a bit of the one-batch result
     @pytest.mark.parametrize("n3", [tsvd.SVT_BLOCK - 1, tsvd.SVT_BLOCK, tsvd.SVT_BLOCK + 1,
                                     2 * tsvd.SVT_BLOCK], ids=["below", "at", "above", "twice"])
     @pytest.mark.parametrize("layout", ["c", "tall", "transposed"])
@@ -378,6 +390,28 @@ class TestTSvt:
             assert out.flags.c_contiguous
             assert_rel_close(out, oracles.full_t_svt(z, tau))
             assert_rel_close(out, oracles.batched_t_svt(z, tau))
+
+    # one forward and one inverse tube DFT per call, through the module
+    # functions that perfbench/tracer.py wraps; 15x15x225 is a 15^4 unfolding
+    @pytest.mark.parametrize("shape", [(15, 15, 225), (30, 30, 30), (20, 20, 20), (5, 4, 6)],
+                             ids=["15x15x225", "30^3", "20^3", "5x4x6"])
+    def test_one_dft_each_way(self, monkeypatch, shape):
+        calls = {"dft_tubes": 0, "idft_tubes": 0}
+        for name in calls:
+            def counted(x, fn=getattr(tsvd, name), name=name):
+                calls[name] += 1
+                return fn(x)
+
+            monkeypatch.setattr(tsvd, name, counted)
+        tsvd.t_svt(random_tensor(shape, 27), 1.0)
+        assert calls == {"dft_tubes": 1, "idft_tubes": 1}
+
+    # on a 15^4 unfolding the forward tube DFT sets t_svt's peak: neither the
+    # shrink blocks nor the one-call inverse may allocate more
+    def test_peak_is_forward_dft(self):
+        z = random_tensor((15, 15, 225), 28)
+        tsvd.t_svt(z, 1.0)  # a first call's one-time allocations are not working set
+        assert traced_peak(tsvd.t_svt, z, 1.0) <= 1.01 * traced_peak(tsvd.dft_tubes, z)
 
     def test_shrinks_fourier_singular_values(self):
         x = random_tensor((4, 4, 4), 24)
