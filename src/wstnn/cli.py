@@ -65,7 +65,7 @@ def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> i
             for i, rel in enumerate(report.rel_change_trace, start=1):
                 writer.writerow([i, repr(rel)])
     note = "" if report.converged else (
-        "; stopped at --max-iter before the relative change reached --rel-tol")
+        "; stopped at --max-iter before converging to --rel-tol")
     print(f"{verb} in {report.iterations} iterations "
           f"(final rel change {report.final_rel_change:.3e}, {residual}"
           f"{report.wall_time:.2f} s){note}")

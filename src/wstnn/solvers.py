@@ -10,9 +10,11 @@ the solver's own ``combine`` step (completion re-imposes the observed
 entries; robust PCA adds its l1 block), then updates the pair
 multipliers and penalties. Penalties grow by the solver's constant
 ``gamma`` each sweep (1.1 for completion, 1.2 for robust PCA), capped at
-``PENALTY_MAX``. Iteration stops when the relative change of
-successive primary iterates drops below ``rel_tol`` (the report reads
-``converged``) or after ``p_max`` sweeps.
+``PENALTY_MAX``. Iteration stops when both the relative change of
+successive primary iterates and the solver's constraint gap (robust
+PCA's ||x - low - sparse|| / ||x||; 0 for completion, whose iterates
+keep the observed entries exactly) drop below ``rel_tol`` (the report
+reads ``converged``), or after ``p_max`` sweeps.
 
 User-facing tuning is via tau. The configs resolve every default
 (``validated(shape)``) and own the starting penalties: ``beta`` = alpha /
@@ -127,8 +129,9 @@ class SolveReport:
     wall_time: float = field(default=0.0, compare=False)
     #: robust PCA's final ||x - low - sparse|| / ||x|| (0.0 at x = 0); None for completion
     constraint_residual: float | None = None
-    #: True when the relative change fell below rel_tol, False when the
-    #: solve ran out of p_max sweeps first
+    #: True when the relative change and the constraint gap (robust PCA's
+    #: constraint residual; 0 for completion) both fell below rel_tol,
+    #: False when the solve ran out of p_max sweeps first
     converged: bool = False
 
     # the sweep count and the last change, read from the trace; a report
@@ -178,7 +181,10 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     """Run ADMM sweeps from the primary iterate ``x0`` under a validated
     config. ``combine(num, beta_sum)`` returns the next primary iterate
     from num = sum_i (beta_i y_i - mult_i) over the active pairs i and
-    beta_sum = sum_i beta_i; ``start`` is the solve's start time. A
+    beta_sum = sum_i beta_i, together with the solver's relative
+    constraint gap at that iterate; the solve stops once the relative
+    change and the gap are both below ``rel_tol``. ``start`` is the
+    solve's start time. A
     ``LinAlgError`` from a pair's t-SVT is raised again as the same type,
     naming the sweep and the mode pair.
 
@@ -214,7 +220,7 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
             np.subtract(y, w[i], out=w[i])
             num += w[i]
             del shrunk, y
-        x_new = combine(num, sum(beta[i] for i in active))
+        x_new, gap = combine(num, sum(beta[i] for i in active))
         del num
         rel = _rel_change(x_new, x)
         for i in active:
@@ -222,7 +228,7 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
             beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
         x = x_new
         report.rel_change_trace.append(rel)
-        if rel < cfg.rel_tol:
+        if rel < cfg.rel_tol and gap < cfg.rel_tol:
             report.converged = True
             break
     report.wall_time = time.perf_counter() - start
@@ -250,7 +256,7 @@ def lrtc_solve(
     def combine(num, beta_sum):
         x = num / beta_sum
         x[omega] = f[omega]
-        return x
+        return x, 0.0
 
     return _admm(np.where(omega, f, 0.0), cfg, combine, start)
 
@@ -261,7 +267,8 @@ def trpca_solve(
     """Split ``x`` into a low-WSTNN component and a sparse component.
 
     The split constraint x = low + sparse is enforced only in the limit; the
-    report's ``constraint_residual`` is the final residual relative to ``x``.
+    report's ``constraint_residual`` is the last sweep's residual relative to
+    ``x``, and the solve reads ``converged`` only once it is below ``rel_tol``.
     """
     start = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
@@ -269,18 +276,21 @@ def trpca_solve(
         raise ValueError("input tensor must be finite")
     cfg = cfg.validated(x.shape)
     rho = cfg.rho
+    norm = frobenius_norm(x)
     sparse = np.zeros_like(x)
     mult = np.zeros_like(x)
+    gap = 0.0
 
     def combine(num, beta_sum):
-        nonlocal rho, sparse, mult
+        nonlocal rho, sparse, mult, gap
         low = (rho * (x - sparse) + mult + num) / (rho + beta_sum)
         sparse = soft_threshold(x - low + mult / rho, cfg.lam / rho)
-        mult = mult + rho * (x - low - sparse)
+        resid = x - low - sparse
+        gap = frobenius_norm(resid) / norm if norm > 0 else 0.0
+        mult = mult + rho * resid
         rho = min(cfg.gamma * rho, PENALTY_MAX)
-        return low
+        return low, gap
 
     low, report = _admm(np.zeros_like(x), cfg, combine, start)
-    norm = frobenius_norm(x)
-    report.constraint_residual = frobenius_norm(x - low - sparse) / norm if norm > 0 else 0.0
+    report.constraint_residual = gap
     return low, sparse, report

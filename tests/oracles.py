@@ -128,14 +128,14 @@ def two_buffer_admm(x0, cfg, combine, start):
                 raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
             y[i] = mode_k1k2_fold(shrunk, pairs[i], x.shape)
         beta_sum = sum(beta[i] for i in active)
-        x_new = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
+        x_new, gap = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
         rel = _rel_change(x_new, x)
         for i in active:
             mult[i] = mult[i] + beta[i] * (x_new - y[i])
             beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
         x = x_new
         report.rel_change_trace.append(rel)
-        if rel < cfg.rel_tol:
+        if rel < cfg.rel_tol and gap < cfg.rel_tol:
             report.converged = True
             break
     report.wall_time = time.perf_counter() - start

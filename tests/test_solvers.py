@@ -347,6 +347,18 @@ class TestTrpca:
         assert rse(low, truth) < 1e-3
         assert report.constraint_residual < 1e-6
 
+    def test_stops_only_when_split_holds(self):
+        # at the default tau the low part of this x0.1 draw freezes after
+        # its second sweep, a relative change of ~1e-16 with half of x
+        # still unexplained; the solve must run on until the split holds
+        truth = 0.1 * gen_cp_tensor(CpSpec((20, 20, 20), 2, 0))
+        cfg = solvers.TrpcaConfig()
+        low, _, report = solvers.trpca_solve(add_salt_pepper(truth, 0.1, 1), cfg)
+        assert report.converged
+        assert report.iterations > 2
+        assert report.constraint_residual < cfg.rel_tol
+        assert rse(low, truth) < 1e-6
+
     def test_stopping_is_scale_invariant(self):
         # the first sweep moves away from a zero iterate; its relative
         # change must not read as an absolute norm, which at data scale

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import logging
 import time
@@ -370,6 +371,24 @@ class TestPhaseSweep:
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=4)
         rows = synth.phase_sweep(grid, "complete", (5, 5, 5))
         assert rows[0]["successes"] == 4
+
+    # without numpy's bundled OpenBLAS there is no set_num_threads export,
+    # and the pool runs one worker on the BLAS as it is
+    def test_one_worker_without_blas_thread_control(self, monkeypatch):
+        sizes = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        def pool(workers, **kwargs):
+            sizes.append(workers)
+            return executor(workers, **kwargs)
+
+        monkeypatch.setattr(synth, "_openblas_function", lambda name: None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        grid = synth.PhaseGrid(ranks=[1, 2], levels=[0.3, 0.7], trials=2)
+        args = (grid, "complete", (10, 10, 10), 0,
+                solvers.LrtcConfig(alpha=weights_uniform(3), tau=3.0))
+        assert_records_match(synth.phase_trials(*args), phase_trials_serial(*args))
+        assert sizes == [1]
 
 
 class TestTrialRecords:
