@@ -50,8 +50,6 @@ def _weights(args, x: np.ndarray) -> np.ndarray | None:
         rank = ntubal.estimate_n_tubal_rank(x, args.threshold)
         return ntubal.weights_rank_aware(x.shape, rank, args.eta)
     if args.weights == "spectral":
-        if x.ndim != 3:
-            raise ValueError("spectral weights are defined for three-way tensors only")
         return ntubal.weights_spectral(args.theta)
     return None
 
@@ -91,7 +89,7 @@ def _cmd_complete(args) -> int:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
     # entries off the mask are unobserved, to the rank estimate as well
     f = np.where(omega, f, 0.0)
-    cfg = LrtcConfig(alpha=_weights(args, f), tau=np.squeeze(args.tau), p_max=args.max_iter,
+    cfg = LrtcConfig(alpha=_weights(args, f), tau=args.tau, p_max=args.max_iter,
                      rel_tol=args.rel_tol).validated(f.shape)
     _print_config("complete", {
         "input": args.input, "shape": f.shape, "weights": args.weights,
@@ -106,7 +104,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_rpca(args) -> int:
     x = tensor_io.read_tensor(args.input)
-    cfg = TrpcaConfig(alpha=_weights(args, x), tau=np.squeeze(args.tau), lam=args.lam,
+    cfg = TrpcaConfig(alpha=_weights(args, x), tau=args.tau, lam=args.lam,
                       p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.shape)
     _print_config("rpca", {
         "input": args.input, "shape": x.shape, "weights": args.weights,
@@ -194,11 +192,9 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
                         default=_default(ntubal.weights_spectral, "theta"),
                         help="first-pair weight parameter for spectral weights")
     _add_threshold_arg(parser)
-    # the commands pass np.squeeze(args.tau): one value is a scalar tau, and
-    # the config checks that a vector has one value per mode pair
-    parser.add_argument("--tau", type=_comma_list(float), default=str(config.tau),
-                        help="per-pair threshold: a scalar broadcast to all pairs "
-                             "or a comma-separated vector")
+    parser.add_argument("--tau", type=float, default=config.tau,
+                        help="starting t-SVT threshold of every mode pair; "
+                             "scale it with the data")
     parser.add_argument("--max-iter", type=int, default=config.p_max)
     parser.add_argument("--rel-tol", type=float, default=config.rel_tol)
 

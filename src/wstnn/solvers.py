@@ -56,7 +56,7 @@ class _SolverConfig:
     """The settings both solvers share; :meth:`validated` resolves them."""
 
     alpha: np.ndarray | None = None
-    tau: np.ndarray | float = 10.0
+    tau: float = 10.0
     p_max: int = 500
     rel_tol: float = 1e-4
 
@@ -70,22 +70,18 @@ class _SolverConfig:
 
     def validated(self, shape: tuple[int, ...]):
         """Copy resolved for data of this ``shape``: ``alpha=None`` is
-        uniform weights and a scalar tau is broadcast. A setting out of range
-        or an active starting penalty that is not a positive normal float is
-        a ``ValueError``."""
+        uniform weights. A setting out of range (tau must be one positive,
+        finite real number) or an active starting penalty that is not a
+        positive normal float is a ``ValueError``."""
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
-        tau = np.asarray(self.tau, dtype=np.float64)
-        tau = np.full(alpha.size, tau) if tau.ndim == 0 else tau
-        if tau.shape != alpha.shape:
-            raise ValueError(f"tau must be a scalar or length-{alpha.size} vector")
-        if not ((tau > 0) & (tau < np.inf)).all():
-            raise ValueError(f"tau must be positive and finite elementwise, got {tau.tolist()}")
+        if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < np.inf):
+            raise ValueError(f"tau must be one positive finite number, got {self.tau!r}")
         if not (isinstance(self.p_max, numbers.Integral) and self.p_max >= 1):
             raise ValueError(f"p_max must be an integer >= 1, got {self.p_max!r}")
         if not np.isfinite(self.rel_tol):
             raise ValueError(f"rel_tol must be finite, got {self.rel_tol!r}")
-        cfg = replace(self, alpha=alpha, tau=tau)
+        cfg = replace(self, alpha=alpha, tau=float(self.tau))
         # _resolve fills the subclass's own None settings on the copy and
         # names its starting penalties besides beta
         with np.errstate(all="ignore"):
@@ -113,13 +109,13 @@ class TrpcaConfig(_SolverConfig):
 
     @property
     def rho(self) -> float:
-        """Initial l1-block penalty, 1 / mean(tau)."""
-        return 1.0 / float(np.mean(self.tau))
+        """Initial l1-block penalty, 1 / tau."""
+        return 1.0 / self.tau
 
     def _resolve(self, shape) -> dict:
         if self.lam is None:
             self.lam = default_lambda(shape, self.alpha)
-        return {"rho = 1 / mean(tau)": self.rho, "lam / rho": self.lam / self.rho}
+        return {"rho = 1 / tau": self.rho, "lam / rho": self.lam / self.rho}
 
 
 @dataclass

@@ -8,7 +8,8 @@ File layout (all integers unsigned 64-bit little-endian):
     payload f64 * prod(n_k)  IEEE-754 binary64 LE, column-major
 
 The payload order matches the package's column-major vectorization, so
-round trips are bit-exact.
+round trips are bit-exact. A file whose payload is shorter or longer than
+its extents say is a ``TensorFormatError``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ def read_tensor(path: str | Path) -> np.ndarray:
         if numel > _MAX_ELEMENTS:
             raise TensorFormatError(f"{path}: extent product overflow ({numel})")
         # compare with the file size before reading: a forged element
-        # count must not make the read allocate more than the file holds
-        if 8 * numel > os.fstat(fh.fileno()).st_size - fh.tell():
+        # count must not make the read allocate more than the file holds,
+        # and extents edited down must not read a prefix of the payload
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * numel > remaining:
             raise TensorFormatError(f"{path}: truncated payload")
+        if 8 * numel < remaining:
+            raise TensorFormatError(f"{path}: {remaining - 8 * numel} bytes after the payload")
         payload = fh.read(8 * numel)
         if len(payload) != 8 * numel:
             raise TensorFormatError(f"{path}: truncated payload")

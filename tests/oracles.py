@@ -113,7 +113,7 @@ def two_buffer_admm(x0, cfg, combine, start):
     multiplier mult_i kept apart for every active pair."""
     pairs = mode_pairs(x0.ndim)
     active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = {i: cfg.alpha[i] / cfg.tau[i] for i in active}
+    beta = {i: cfg.alpha[i] / cfg.tau for i in active}
     x = x0
     y = {}
     mult = {i: np.zeros_like(x) for i in active}

@@ -64,6 +64,18 @@ class TestTensorFile:
         with pytest.raises(tensor_io.TensorFormatError):
             tensor_io.read_tensor(path)
 
+    # a payload longer than the extents say is malformed too: extents
+    # edited down must not read back a prefix, nor extra bytes be dropped
+    def test_payload_past_extents(self, tmp_path):
+        path = tmp_path / "p.ntb"
+        tensor_io.write_tensor(path, np.ones((2, 2, 2)))
+        raw = path.read_bytes()
+        halved = raw[:30] + (1).to_bytes(8, "little") + raw[38:]
+        for data, extra in ((halved, 32), (raw + b"\x00" * 4, 4)):
+            path.write_bytes(data)
+            with pytest.raises(tensor_io.TensorFormatError, match=f"{extra} bytes after"):
+                tensor_io.read_tensor(path)
+
     def test_zero_extent_rejected(self, tmp_path):
         import struct
 
@@ -232,7 +244,7 @@ class TestCli:
         args = cli.build_parser().parse_args([command, "--input", "x"] + required[command])
         defaults = {f.name: f.default for f in dataclasses.fields(config)}
         assert (args.tau, args.max_iter, args.rel_tol) == (
-            [defaults["tau"]], defaults["p_max"], defaults["rel_tol"]
+            defaults["tau"], defaults["p_max"], defaults["rel_tol"]
         )
 
     def test_rank_and_sweep_defaults_come_from_library(self):
@@ -292,15 +304,19 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_tau_length_checked_by_config(self, tmp_path, capsys):
-        inp = tmp_path / "x.ntb"
-        tensor_io.write_tensor(inp, np.ones((4, 4, 4)))
-        rc = cli.main([
-            "complete", "--input", str(inp), "--sr", "0.5", "--tau", "1,2",
-            "--out", str(tmp_path / "o.ntb"),
-        ])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+    # the config's weight check rejects the length-3 spectral weights on a
+    # four-way input before the solve writes anything
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--sr", "0.5", "--out", "o.ntb"],
+        ["rpca", "--out-low", "l.ntb", "--out-sparse", "s.ntb"],
+    ], ids=["complete", "rpca"])
+    def test_spectral_weights_need_three_way_input(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        tensor_io.write_tensor("x.ntb", np.ones((3, 3, 3, 3)))
+        assert cli.main(argv + ["--input", "x.ntb", "--weights", "spectral"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weight vector of length 3 does not match order 4 (expected 6)"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ntb"]
 
     def test_summary_says_when_max_iter_ran_out(self, tmp_path, capsys):
         x = gen_cp_tensor(CpSpec((10, 10, 10), 1, seed=0))
@@ -349,11 +365,13 @@ class TestCli:
         (["sweep", "--task", "complete", "--levels", "0.5,abc", "--out", "o"], "--levels"),
         (["sweep", "--task", "complete", "--shape", "30,x", "--out", "o"], "--shape"),
         (["complete", "--input", "x", "--sr", "0.5", "--tau", "1,x", "--out", "o"], "--tau"),
+        (["complete", "--input", "x", "--sr", "0.5", "--tau", "1,2", "--out", "o"], "--tau"),
         (["rpca", "--input", "x", "--out-low", "l", "--out-sparse", "s", "--lambda", "abc"],
          "--lambda"),
         (["complete", "--input", "x", "--mask", "m", "--sr", "0.5", "--out", "o"], "--mask"),
         (["complete", "--input", "x", "--out", "o"], "--mask"),
-    ], ids=["ranks", "levels", "shape", "tau", "lambda", "mask-and-sr", "neither-mask-nor-sr"])
+    ], ids=["ranks", "levels", "shape", "tau", "tau-vector", "lambda", "mask-and-sr",
+            "neither-mask-nor-sr"])
     def test_malformed_command_line_is_usage_error(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

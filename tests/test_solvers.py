@@ -64,20 +64,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.validated(CUBE)
 
+    # rho is exactly 1 / tau, with no rounding from averaging the tau
     def test_trpca_rho_default(self):
-        cfg = solvers.TrpcaConfig(
-            alpha=weights_uniform(3), tau=np.array([5.0, 10.0, 15.0]), lam=0.1
-        ).validated(CUBE)
-        assert cfg.rho == pytest.approx(0.1)
+        cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=0.1, lam=0.1).validated(CUBE)
+        assert cfg.rho == 1 / 0.1
 
     def test_trpca_rejects_bad_lambda(self):
         cfg = solvers.TrpcaConfig(alpha=weights_uniform(3), tau=1.0, lam=0.0)
         with pytest.raises(ValueError):
             cfg.validated(CUBE)
 
-    def test_scalar_tau_broadcast(self):
-        cfg = solvers.LrtcConfig(alpha=weights_uniform(4), tau=7.0).validated((5, 5, 5, 5))
-        np.testing.assert_array_equal(cfg.tau, np.full(6, 7.0))
+    # tau is one number for every mode pair; a vector of any length, even
+    # one value per pair, is a setting error
+    def test_vector_tau_rejected(self):
+        for tau in ([7.0] * 6, np.full(6, 7.0), [7.0]):
+            with pytest.raises(ValueError, match="^tau must be one positive finite number"):
+                solvers.LrtcConfig(alpha=weights_uniform(4), tau=tau).validated((5, 5, 5, 5))
 
     # every non-finite setting, and every weighted starting penalty that is
     # not a positive normal float, is a ValueError at validation
@@ -98,7 +100,7 @@ class TestConfigValidation:
         lambda: weights_spectral(nan),
         lambda: weights_spectral(inf),
         # beta_2 = 5e-324 / 10 underflows to 0; every beta_i = (1/3) / 1e308
-        # is subnormal (and rho = 1 / mean(tau) is 0)
+        # is subnormal (and so is rho = 1 / tau = 1e-308)
         lambda: solvers.LrtcConfig(alpha=(1, 5e-324, 0), tau=10).validated(CUBE),
         lambda: solvers.TrpcaConfig(tau=1e308).validated(CUBE),
     ], ids=[
@@ -118,9 +120,10 @@ class TestConfigValidation:
         for name, solve in [
             ("beta = alpha / tau",
              lambda: solvers.lrtc_solve(x, mask, solvers.LrtcConfig(alpha=(1, 5e-324, 0)))),
-            (r"rho = 1 / mean\(tau\)",
-             lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(alpha=(1, 0, 0),
-                                                                tau=(10, 1e308, 1e308)))),
+            # the betas (2e307 and 9e307) are normal, and 1 / 5e-309 is inf
+            ("rho = 1 / tau",
+             lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(alpha=(0.1, 0.45, 0.45),
+                                                                tau=5e-309))),
             ("lam / rho", lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(lam=5e-324))),
         ]:
             with pytest.raises(ValueError, match=rf"^{name} must be a positive normal float"):
