@@ -71,10 +71,15 @@ class _SolverConfig:
     def validated(self, shape: tuple[int, ...]):
         """Copy resolved for data of this ``shape``: ``alpha=None`` is
         uniform weights. A setting out of range (tau must be one positive,
-        finite real number) or an active starting penalty that is not a
-        positive normal float is a ``ValueError``."""
+        finite real number), a ``bool`` for tau, ``p_max`` or ``rel_tol``, or
+        an active starting penalty that is not a positive normal float is a
+        ``ValueError``."""
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
+        # bool is an Integral, but True is neither a sweep count nor a threshold
+        for name in ("tau", "p_max", "rel_tol"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < np.inf):
             raise ValueError(f"tau must be one positive finite number, got {self.tau!r}")
         if not (isinstance(self.p_max, numbers.Integral) and self.p_max >= 1):

@@ -59,14 +59,16 @@ class CpSpec:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in self.shape):
+        # bool is an Integral, but True is neither an extent nor a rank
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in self.shape):
             raise ValueError(f"extents must be integers, got {tuple(self.shape)}")
         self.shape = tuple(int(n) for n in self.shape)
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
         if min(self.shape) < 1:
             raise ValueError(f"extents must be positive, got {self.shape}")
-        if not isinstance(self.cp_rank, numbers.Integral):
+        if isinstance(self.cp_rank, bool) or not isinstance(self.cp_rank, numbers.Integral):
             raise ValueError(f"cp_rank must be an integer, got {self.cp_rank!r}")
         if not 1 <= self.cp_rank <= min(self.shape):
             raise ValueError(f"cp_rank {self.cp_rank} must lie in [1, min extent] "
@@ -179,9 +181,12 @@ class PhaseGrid:
     def __post_init__(self):
         if not self.ranks or not self.levels:
             raise ValueError("ranks and levels must be nonempty")
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        # bool is an Integral, but True is neither a count nor a threshold
+        if isinstance(self.trials, bool) or not (
+                isinstance(self.trials, numbers.Integral) and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not 0.0 < self.success_threshold < np.inf:
+        if isinstance(self.success_threshold, (bool, np.bool_)) or not (
+                0.0 < self.success_threshold < np.inf):
             raise ValueError("success_threshold must be positive and finite")
 
 

@@ -36,11 +36,11 @@ largest imaginary part of the full inverse DFT in :func:`t_svt`.
 through the eigendecomposition of its Gram matrix instead of an SVD (its
 docstring states the accuracy this costs). It transforms the full
 spectrum (:func:`dft_tubes` / :func:`idft_tubes`) and shrinks it in
-place, ``SVT_BLOCK`` slices at a time: the shrink's temporaries, not the
-transforms, set its working set. The half spectrum would halve its
-work, but waits for the benchmark to stop counting the outputs of the
-extra passes a faster solve fits into its fixed run as peak memory
-(ROADMAP item 1).
+place, ``SVT_BLOCK`` slices at a time, in one function, ``_gram_shrink``:
+the shrink's temporaries, not the transforms, set its working set. The
+half spectrum would halve its work, but waits for the benchmark to stop
+counting the outputs of the extra passes a faster solve fits into its
+fixed run as peak memory (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -126,47 +126,44 @@ def conj_transpose(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slices_first(xf: np.ndarray) -> np.ndarray:
-    # (n1, n2, n3) -> (n3, n1, n2) stack for batched matrix ops
-    return np.moveaxis(xf, 2, 0)
-
-
-def _slices_last(stack: np.ndarray) -> np.ndarray:
-    return np.moveaxis(stack, 0, 2)
-
-
-def _require_finite(stack: np.ndarray, step: str) -> None:
-    if not np.isfinite(stack).all():
-        raise NumericError(f"non-finite value in the Fourier slices before the {step}")
-
-
 def _svd(stack: np.ndarray, **kwargs):
     """Batched ``np.linalg.svd`` of a Fourier slice stack, which must be finite."""
-    _require_finite(stack, "SVD")
+    if not np.isfinite(stack).all():
+        raise NumericError("non-finite value in the Fourier slices before the SVD")
     return np.linalg.svd(stack, **kwargs)
 
 
 def _gram_shrink(stack: np.ndarray, tau: float) -> np.ndarray:
-    """Every slice of ``stack`` with its singular values shrunk by ``tau``,
-    through the eigendecomposition of its Gram matrix.
+    """Every slice ``a`` of ``stack`` with its singular values shrunk by
+    ``tau``, as ``a W`` with ``W = V diag(max(1 - tau / sigma, 0)) V^H``
+    and ``a^H a = V diag(sigma^2) V^H`` from ``eigh``; a non-finite entry
+    raises :class:`NumericError` before ``eigh`` runs.
 
     A wide slice is transposed first: the transpose has the same singular
-    values and shrinks to the transpose of the shrunk slice. The helpers
-    free their block-sized temporaries on return, so at most three are
-    alive at once, as many as an SVD's two factors and their product."""
+    values and shrinks to the transpose of the shrunk slice. Each slice is
+    scaled by the power of two that brings its largest real or imaginary
+    part into [1, 2), an exact scaling after which its Gram matrix neither
+    overflows nor underflows. At ``tau = 0`` every factor is 1; a
+    ``sigma <= tau`` gets an exact 0, without a division. At most three
+    block-sized temporaries are alive at once, as many as an SVD's two
+    factors and their product."""
     if stack.shape[1] < stack.shape[2]:
         return _gram_shrink(stack.swapaxes(1, 2), tau).swapaxes(1, 2)
-    return stack @ _shrink_weights(stack, tau)
-
-
-def _shrink_weights(stack: np.ndarray, tau: float) -> np.ndarray:
-    """``W = V diag(max(1 - tau / sigma, 0)) V^H`` for every slice ``a`` of
-    a stack of tall or square slices, where ``a^H a = V diag(sigma^2) V^H``,
-    so that ``a W`` is ``a`` with its singular values shrunk by ``tau``.
-
-    At ``tau = 0`` every factor is 1; a ``sigma <= tau`` gets an exact 0,
-    without a division."""
-    lam, v, exp = _unit_gram_eigh(stack)
+    # ldexp scales the real and imaginary parts of a C-ordered copy (a
+    # complex division by a subnormal scale would overflow in its
+    # reciprocal, and the slices of a spectrum view are not BLAS-strided)
+    a = np.array(stack, order="C")
+    parts = a.view(np.float64)
+    # max propagates a NaN and keeps an inf, so this is the finite check
+    peak = np.abs(parts).max(axis=(1, 2))
+    if not np.isfinite(peak).all():
+        raise NumericError(
+            "non-finite value in the Fourier slices before the eigendecomposition"
+        )
+    exp = np.frexp(peak)[1] - 1
+    np.ldexp(parts, -exp[:, None, None], out=parts)
+    lam, v = np.linalg.eigh(a.conj().swapaxes(1, 2) @ a)
+    del a, parts
     factor = np.ones(lam.shape)
     if tau > 0:
         sig = np.sqrt(np.maximum(lam, 0.0))
@@ -178,31 +175,14 @@ def _shrink_weights(stack: np.ndarray, tau: float) -> np.ndarray:
         factor = np.where(keep, 1.0 - factor, 0.0)
     v_h = v.conj().swapaxes(1, 2)
     v *= factor[:, None, :]
-    return v @ v_h
-
-
-def _unit_gram_eigh(stack: np.ndarray):
-    """``eigh`` of ``a^H a`` for every slice ``a`` of the stack, each slice
-    first scaled by ``2.0**-exp``, and ``exp``; a non-finite entry raises
-    :class:`NumericError` before ``eigh`` runs.
-
-    The power of two brings the slice's largest real or imaginary part into
-    [1, 2): an exact scaling that depends on the slice alone, after which
-    the Gram matrix neither overflows nor underflows."""
-    # ldexp scales the real and imaginary parts of a C-ordered copy (a
-    # complex division by a subnormal scale would overflow in its
-    # reciprocal, and the slices of a spectrum view are not BLAS-strided)
-    a = np.array(stack, order="C")
-    parts = a.view(np.float64)
-    _require_finite(parts, "eigendecomposition")
-    exp = np.frexp(np.abs(parts).max(axis=(1, 2)))[1] - 1
-    np.ldexp(parts, -exp[:, None, None], out=parts)
-    return (*np.linalg.eigh(a.conj().swapaxes(1, 2) @ a), exp)
+    w = v @ v_h
+    del v, v_h
+    return stack @ w
 
 
 def _rfft_slices(x: np.ndarray) -> np.ndarray:
     # (n1, n2, n3) real -> (n3 // 2 + 1, n1, n2) half-spectrum slice stack
-    return _slices_first(np.fft.rfft(x, axis=2))
+    return np.moveaxis(np.fft.rfft(x, axis=2), 2, 0)
 
 
 def _irfft_slices(stack: np.ndarray, n3: int, ref_norm: float) -> np.ndarray:
@@ -213,7 +193,7 @@ def _irfft_slices(stack: np.ndarray, n3: int, ref_norm: float) -> np.ndarray:
         edge = edge + np.abs(stack[-1].imag)
     # what a full inverse DFT would leave in the imaginary part (1/n3 scaling)
     _check_residue(float(edge.max(initial=0.0)) / n3, ref_norm)
-    return np.ascontiguousarray(np.fft.irfft(_slices_last(stack), n=n3, axis=2))
+    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
 
 
 def t_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -284,30 +264,29 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
 
     Shrinks the singular values of every Fourier slice by ``tau`` and
     transforms back. The shrink goes through the eigendecomposition of each
-    slice's smaller Gram matrix, which is cheaper than an SVD
-    (``_gram_shrink``). Squaring a slice costs accuracy where a kept
-    singular value lies far below the largest: against the SVD, the
-    result's error relative to its norm is at most
-    ``min(eps * sigma_max / tau, sqrt(eps))`` (``eps`` the float64 machine
-    epsilon, ``sigma_max`` the largest Fourier singular value), so 1e-12 or
-    better for ``tau >= 1e-3 * sigma_max``. At ``tau = 0`` the result is
-    ``z`` to rounding.
+    slice's smaller Gram matrix, which is cheaper than an SVD. Squaring a
+    slice costs accuracy where a kept singular value lies far below the
+    largest: against the SVD, the result's error relative to its norm is at
+    most ``min(eps * sigma_max / tau, sqrt(eps))`` (``eps`` the float64
+    machine epsilon, ``sigma_max`` the largest Fourier singular value), so
+    1e-12 or better for ``tau >= 1e-3 * sigma_max``. At ``tau = 0`` the
+    result is ``z`` to rounding.
 
-    The slices are shrunk ``SVT_BLOCK`` at a time, and each shrunk block is
-    written back into the one spectrum buffer. Each slice goes through the
-    same eigendecomposition and products as in one whole-spectrum batch, so
-    the blocks bound the working set to the spectrum and one block's
-    temporaries without changing a bit of the result. The inverse DFT runs
-    in one call and needs no blocks: the spectrum and its inverse hold no
-    more than the forward ``fft``, which converts the real input to a
-    complex copy beside the spectrum, and the spectrum is dropped before
-    the real part is copied out."""
+    One function, ``_gram_shrink``, shrinks ``SVT_BLOCK`` slices at a time,
+    and each shrunk block is written back into the one spectrum buffer.
+    Each slice goes through the same eigendecomposition and products as in
+    one whole-spectrum batch, so the blocks bound the working set to the
+    spectrum and one block's temporaries without changing a bit of the
+    result. The inverse DFT runs in one call and needs no blocks: the
+    spectrum and its inverse hold no more than the forward ``fft``, which
+    converts the real input to a complex copy beside the spectrum, and the
+    spectrum is dropped before the real part is copied out."""
     if not tau >= 0:
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
     ref_norm = frobenius_norm(z)
     spectrum = dft_tubes(z)
-    stack = _slices_first(spectrum)
+    stack = np.moveaxis(spectrum, 2, 0)
     for b in range(0, z.shape[2], SVT_BLOCK):
         stack[b : b + SVT_BLOCK] = _gram_shrink(stack[b : b + SVT_BLOCK], tau)
     y = idft_tubes(spectrum)

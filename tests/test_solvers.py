@@ -81,8 +81,9 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="^tau must be one positive finite number"):
                 solvers.LrtcConfig(alpha=weights_uniform(4), tau=tau).validated((5, 5, 5, 5))
 
-    # every non-finite setting, and every weighted starting penalty that is
-    # not a positive normal float, is a ValueError at validation
+    # every non-finite setting, every bool where a count or threshold is
+    # expected (bool is an Integral), and every weighted starting penalty
+    # that is not a positive normal float, is a ValueError at validation
     @pytest.mark.parametrize("check", [
         lambda: solvers.LrtcConfig(alpha=[nan, 0.5, 0.5]).validated(CUBE),
         lambda: solvers.LrtcConfig(alpha=weights_uniform(3), tau=nan).validated(CUBE),
@@ -103,10 +104,15 @@ class TestConfigValidation:
         # is subnormal (and so is rho = 1 / tau = 1e-308)
         lambda: solvers.LrtcConfig(alpha=(1, 5e-324, 0), tau=10).validated(CUBE),
         lambda: solvers.TrpcaConfig(tau=1e308).validated(CUBE),
+        lambda: solvers.LrtcConfig(tau=True).validated(CUBE),
+        lambda: solvers.LrtcConfig(p_max=True).validated(CUBE),
+        lambda: solvers.LrtcConfig(rel_tol=True).validated(CUBE),
+        lambda: solvers.TrpcaConfig(p_max=np.True_).validated(CUBE),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
-        "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge",
+        "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge", "tau-bool",
+        "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):

@@ -46,6 +46,8 @@ class TestCpSpec:
             synth.CpSpec((5, 5, 5), 6)
         with pytest.raises(ValueError):
             synth.CpSpec((5, 5, 5), 1.5)
+        with pytest.raises(ValueError, match="cp_rank must be an integer"):
+            synth.CpSpec((5, 5, 5), True)
 
     def test_rejects_zero_extent(self):
         with pytest.raises(ValueError, match="extents must be positive"):
@@ -237,10 +239,13 @@ class TestPhaseSweep:
          solvers.TrpcaConfig(alpha=weights_uniform(3), lam=float("nan"))),
         ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(alpha=weights_uniform(3), p_max=2.5)),
         ("complete", (5.7, 5, 5), [0.5], None),
+        ("complete", (True, 5, 5), [0.5], None),
+        ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(p_max=True)),
+        ("rpca", (5, 5, 5), [0.1], solvers.TrpcaConfig(tau=True)),
     ], ids=[
         "sr-1.5", "sr-nan", "nl-1.0", "tau-nan", "alpha-nan", "alpha-4way",
         "complete-trpca-template", "rpca-lrtc-template", "lam-nan", "p_max-2.5",
-        "shape-5.7",
+        "shape-5.7", "shape-bool", "p_max-bool", "tau-bool",
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, shape, levels, cfg):
@@ -262,6 +267,10 @@ class TestPhaseSweep:
             synth.PhaseGrid(trials=0)
         with pytest.raises(ValueError):
             synth.PhaseGrid(trials=1.5)
+        with pytest.raises(ValueError, match="^trials must be"):
+            synth.PhaseGrid(trials=True)
+        with pytest.raises(ValueError, match="^success_threshold must be"):
+            synth.PhaseGrid(success_threshold=True)
         with pytest.raises(ValueError):
             synth.PhaseGrid(success_threshold=float("nan"))
 

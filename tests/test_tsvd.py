@@ -500,6 +500,23 @@ class TestGramShrink:
                 tsvd.NumericError, match="before the eigendecomposition"):
             tsvd.t_svt(z, 1.0)
 
+    # an inf entry of z spreads over its whole tube, so it reaches block 0;
+    # an inf in one Fourier slice of a later block must raise as well, on
+    # a tall slice and on the transposed path of a wide one
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7)], ids=["tall", "wide"])
+    def test_inf_slice_in_later_block_raises(self, monkeypatch, shape):
+        dft = tsvd.dft_tubes
+
+        def inf_slice(x):
+            spectrum = dft(x)
+            spectrum[1, 2, tsvd.SVT_BLOCK + 1] = np.inf
+            return spectrum
+
+        monkeypatch.setattr(tsvd, "dft_tubes", inf_slice)
+        z = random_tensor((*shape, 2 * tsvd.SVT_BLOCK), 35)
+        with pytest.raises(tsvd.NumericError, match="before the eigendecomposition"):
+            tsvd.t_svt(z, 1.0)
+
     # squaring a slice loses accuracy for a kept singular value far below
     # the largest, within the bound t_svt's docstring states; these two
     # cases read 1.3e-11 and 8e-10 against the SVD, above REL
