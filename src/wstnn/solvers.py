@@ -1,15 +1,13 @@
 """ADMM solvers for WSTNN-regularized completion and robust PCA.
 
-Both solvers run one sweep core, ``_admm``. It keeps one penalty and
-one buffer per mode pair; the buffer holds the pair's multiplier
-between sweeps and its penalty-weighted estimate minus that multiplier
-within a sweep, so no auxiliary variable outlives its pair's step. Each
-sweep applies tensor singular value thresholding to every pair's
-unfolding of the current iterate, hands the sum of the pair terms to
-the solver's own ``combine`` step (completion re-imposes the observed
-entries; robust PCA adds its l1 block), then updates the pair
-multipliers and penalties. Penalties grow by the solver's constant
-``gamma`` each sweep (1.1 for completion, 1.2 for robust PCA), capped at
+Both solvers run one sweep core, ``_admm``, with one penalty rho. Pair
+i's penalty is alpha_i * rho, so every pair's t-SVT threshold is the
+same 1 / rho. Each sweep thresholds every pair's unfolding of the
+current iterate, hands the sum of the pair terms to the solver's own
+``combine`` step (completion re-imposes the observed entries; robust
+PCA adds its l1 block, whose penalty is rho itself), then updates the
+pair multipliers. rho grows by the solver's constant ``gamma`` each
+sweep (1.1 for completion, 1.2 for robust PCA), capped at
 ``PENALTY_MAX``. Iteration stops when both the relative change of
 successive primary iterates and the solver's constraint gap (robust
 PCA's ||x - low - sparse|| / ||x||; 0 for completion, whose iterates
@@ -17,11 +15,10 @@ keep the observed entries exactly) drop below ``rel_tol`` (the report
 reads ``converged``), or after ``p_max`` sweeps.
 
 User-facing tuning is via tau. The configs resolve every default
-(``validated(shape)``) and own the starting penalties: ``beta`` = alpha /
-tau, so each pair's t-SVT threshold starts at exactly tau, and
-``TrpcaConfig.rho``. The default tau of 10 suits unit-scale data such as
-:func:`wstnn.synth.gen_cp_tensor` draws; it must scale with the data.
-Pairs with zero weight are skipped entirely.
+(``validated(shape)``) and own the starting penalty ``rho`` = 1 / tau,
+so every t-SVT threshold starts at tau. The default tau of 10 suits
+unit-scale data such as :func:`wstnn.synth.gen_cp_tensor` draws; it
+must scale with the data. Pairs with zero weight are skipped entirely.
 """
 
 from __future__ import annotations
@@ -47,8 +44,13 @@ __all__ = [
     "trpca_solve",
 ]
 
-#: cap on every ADMM penalty (the per-pair betas and the robust-PCA rho)
+#: cap on the ADMM penalty rho, so pair i's penalty stops at alpha_i * PENALTY_MAX
 PENALTY_MAX = 1e10
+
+
+def _is_number(value) -> bool:
+    # bool is an Integral, but True is neither a sweep count nor a threshold
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(kw_only=True)
@@ -61,36 +63,36 @@ class _SolverConfig:
     rel_tol: float = 1e-4
 
     @property
-    def beta(self) -> np.ndarray:
-        """Starting penalty per mode pair, alpha / tau: each t-SVT threshold starts at tau."""
-        return self.alpha / self.tau
+    def rho(self) -> float:
+        """Starting penalty, 1 / tau; pair i's is alpha_i * rho, so every
+        t-SVT threshold starts at tau."""
+        return 1.0 / self.tau
 
     def _resolve(self, shape) -> dict:
         return {}
 
     def validated(self, shape: tuple[int, ...]):
         """Copy resolved for data of this ``shape``: ``alpha=None`` is
-        uniform weights. A setting out of range (tau must be one positive,
-        finite real number), a ``bool`` for tau, ``p_max`` or ``rel_tol``, or
-        an active starting penalty that is not a positive normal float is a
-        ``ValueError``."""
+        uniform weights. A setting that is not a number (a ``bool`` or a
+        string included) or is out of range (tau must be one positive,
+        finite real number), or a starting penalty of an active pair or
+        block that is not a positive normal float, is a ``ValueError``."""
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
-        # bool is an Integral, but True is neither a sweep count nor a threshold
-        for name in ("tau", "p_max", "rel_tol"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < np.inf):
+        if not (_is_number(self.tau) and 0 < self.tau < np.inf):
             raise ValueError(f"tau must be one positive finite number, got {self.tau!r}")
-        if not (isinstance(self.p_max, numbers.Integral) and self.p_max >= 1):
+        if not (_is_number(self.p_max) and isinstance(self.p_max, numbers.Integral)
+                and self.p_max >= 1):
             raise ValueError(f"p_max must be an integer >= 1, got {self.p_max!r}")
-        if not np.isfinite(self.rel_tol):
-            raise ValueError(f"rel_tol must be finite, got {self.rel_tol!r}")
+        if not (_is_number(self.rel_tol) and np.isfinite(self.rel_tol)):
+            raise ValueError(f"rel_tol must be one finite number, got {self.rel_tol!r}")
         cfg = replace(self, alpha=alpha, tau=float(self.tau))
         # _resolve fills the subclass's own None settings on the copy and
-        # names its starting penalties besides beta
+        # names its starting penalties besides rho and the pairs'
         with np.errstate(all="ignore"):
-            penalties = {"beta = alpha / tau": cfg.beta[alpha > 0], **cfg._resolve(shape)}
+            penalties = {"rho = 1 / tau": cfg.rho,
+                         "beta = alpha / tau": alpha[alpha > 0] * cfg.rho,
+                         **cfg._resolve(shape)}
         for name, value in penalties.items():
             if not np.all((value >= np.finfo(np.float64).tiny) & (value < np.inf)):
                 raise ValueError(f"{name} must be a positive normal float, got {value}")
@@ -112,15 +114,12 @@ class TrpcaConfig(_SolverConfig):
     lam: float | None = None
     gamma: ClassVar[float] = 1.2
 
-    @property
-    def rho(self) -> float:
-        """Initial l1-block penalty, 1 / tau."""
-        return 1.0 / self.tau
-
     def _resolve(self, shape) -> dict:
         if self.lam is None:
             self.lam = default_lambda(shape, self.alpha)
-        return {"rho = 1 / tau": self.rho, "lam / rho": self.lam / self.rho}
+        if not _is_number(self.lam):
+            raise ValueError(f"lam must be a number or None, got {self.lam!r}")
+        return {"lam / rho": self.lam / self.rho}
 
 
 @dataclass
@@ -180,26 +179,27 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
 
 def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, SolveReport]:
     """Run ADMM sweeps from the primary iterate ``x0`` under a validated
-    config. ``combine(num, beta_sum)`` returns the next primary iterate
-    from num = sum_i (beta_i y_i - mult_i) over the active pairs i and
-    beta_sum = sum_i beta_i, together with the solver's relative
-    constraint gap at that iterate; the solve stops once the relative
-    change and the gap are both below ``rel_tol``. ``start`` is the
-    solve's start time. A
-    ``LinAlgError`` from a pair's t-SVT is raised again as the same type,
-    naming the sweep and the mode pair.
+    config. ``combine(num, rho, beta_sum)`` returns the next primary
+    iterate, from num = sum_i (beta_i y_i - mult_i) over the active pairs
+    i, the sweep's penalty rho and beta_sum = sum_i beta_i, together with
+    the solver's relative constraint gap at that iterate; the solve stops
+    once the relative change and the gap are both below ``rel_tol``.
+    ``start`` is the solve's start time. A ``LinAlgError`` from a pair's
+    t-SVT is raised again as the same type, naming the sweep and the mode
+    pair.
 
-    Each active pair keeps one buffer w_i (the scaled-multiplier
-    bookkeeping of Boyd et al. 2011, section 3.1.1). Between sweeps it
-    holds mult_i. Once the sweep has the pair's estimate y_i, w_i becomes
-    beta_i y_i - mult_i, the pair's term of num, and y_i is dropped.
-    After ``combine``, w_i becomes the next multiplier
-    mult_i + beta_i (x_new - y_i) = beta_i x_new - w_i, before beta_i
-    grows."""
-    pairs = mode_pairs(x0.ndim)
-    active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = dict(zip(active, cfg.beta[active]))
-    w = {i: np.zeros_like(x0) for i in active}
+    Pair i's penalty is beta_i = alpha_i rho, so its t-SVT threshold
+    alpha_i / beta_i is 1 / rho. Each active pair keeps one buffer w_i
+    (the scaled-multiplier bookkeeping of Boyd et al. 2011, section
+    3.1.1). Between sweeps it holds mult_i. Once the sweep has the pair's
+    estimate y_i, w_i becomes beta_i y_i - mult_i, the pair's term of num,
+    and y_i is dropped. After ``combine``, w_i becomes the next multiplier
+    mult_i + beta_i (x_new - y_i) = beta_i x_new - w_i, before rho grows."""
+    # (mode pair, weight, buffer) of every active pair
+    pairs = [(pair, a, np.zeros_like(x0))
+             for pair, a in zip(mode_pairs(x0.ndim), cfg.alpha) if a > 0]
+    weight_sum = sum(a for _, a, _ in pairs)
+    rho = cfg.rho
     # the dels free each array as soon as it is spent, so the first
     # iterate, a pair's unfolding and its t-SVT output never outlive
     # their step into the next pair's t-SVT
@@ -209,24 +209,24 @@ def _admm(x0: np.ndarray, cfg, combine, start: float) -> tuple[np.ndarray, Solve
     report = SolveReport()
     for sweep in range(1, cfg.p_max + 1):
         num = np.zeros_like(x)
-        for i in active:
-            z = mode_k1k2_unfold(x + w[i] / beta[i], pairs[i])
+        for pair, a, w in pairs:
+            z = mode_k1k2_unfold(x + w / (a * rho), pair)
             try:
-                shrunk = t_svt(z, cfg.alpha[i] / beta[i])
+                shrunk = t_svt(z, 1 / rho)
             except np.linalg.LinAlgError as exc:
-                raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
+                raise type(exc)(f"sweep {sweep}, mode pair {pair}: {exc}") from exc
             del z
-            y = mode_k1k2_fold(shrunk, pairs[i], x.shape)
-            y *= beta[i]
-            np.subtract(y, w[i], out=w[i])
-            num += w[i]
+            y = mode_k1k2_fold(shrunk, pair, x.shape)
+            y *= a * rho
+            np.subtract(y, w, out=w)
+            num += w
             del shrunk, y
-        x_new, gap = combine(num, sum(beta[i] for i in active))
+        x_new, gap = combine(num, rho, rho * weight_sum)
         del num
         rel = _rel_change(x_new, x)
-        for i in active:
-            np.subtract(beta[i] * x_new, w[i], out=w[i])
-            beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
+        for _, a, w in pairs:
+            np.subtract(a * rho * x_new, w, out=w)
+        rho = min(cfg.gamma * rho, PENALTY_MAX)
         x = x_new
         report.rel_change_trace.append(rel)
         if rel < cfg.rel_tol and gap < cfg.rel_tol:
@@ -254,7 +254,7 @@ def lrtc_solve(
         raise ValueError("observed entries must be finite")
     cfg = cfg.validated(f.shape)
 
-    def combine(num, beta_sum):
+    def combine(num, rho, beta_sum):
         x = num / beta_sum
         x[omega] = f[omega]
         return x, 0.0
@@ -276,20 +276,18 @@ def trpca_solve(
     if not np.isfinite(x).all():
         raise ValueError("input tensor must be finite")
     cfg = cfg.validated(x.shape)
-    rho = cfg.rho
     norm = frobenius_norm(x)
     sparse = np.zeros_like(x)
     mult = np.zeros_like(x)
     gap = 0.0
 
-    def combine(num, beta_sum):
-        nonlocal rho, sparse, mult, gap
+    def combine(num, rho, beta_sum):
+        nonlocal sparse, mult, gap
         low = (rho * (x - sparse) + mult + num) / (rho + beta_sum)
         sparse = soft_threshold(x - low + mult / rho, cfg.lam / rho)
         resid = x - low - sparse
         gap = frobenius_norm(resid) / norm if norm > 0 else 0.0
         mult = mult + rho * resid
-        rho = min(cfg.gamma * rho, PENALTY_MAX)
         return low, gap
 
     low, report = _admm(np.zeros_like(x), cfg, combine, start)

@@ -113,13 +113,15 @@ def gen_cp_tensor(spec: CpSpec) -> np.ndarray:
     )
 
 
+# a level must be a real number: True is not a sampling rate, and a
+# string would raise TypeError at the comparison
 def _check_sampling_rate(sr: float) -> None:
-    if not 0.0 < sr <= 1.0:
+    if not (isinstance(sr, numbers.Real) and not isinstance(sr, bool) and 0.0 < sr <= 1.0):
         raise ValueError(f"sampling rate must lie in (0, 1], got {sr!r}")
 
 
 def _check_noise_level(nl: float) -> None:
-    if not 0.0 <= nl < 1.0:
+    if not (isinstance(nl, numbers.Real) and not isinstance(nl, bool) and 0.0 <= nl < 1.0):
         raise ValueError(f"noise level must lie in [0, 1), got {nl!r}")
 
 

@@ -113,26 +113,27 @@ def two_buffer_admm(x0, cfg, combine, start):
     multiplier mult_i kept apart for every active pair."""
     pairs = mode_pairs(x0.ndim)
     active = [i for i, a in enumerate(cfg.alpha) if a > 0]
-    beta = {i: cfg.alpha[i] / cfg.tau for i in active}
+    rho = cfg.rho
     x = x0
     y = {}
     mult = {i: np.zeros_like(x) for i in active}
 
     report = SolveReport()
     for sweep in range(1, cfg.p_max + 1):
+        beta = {i: cfg.alpha[i] * rho for i in active}
         for i in active:
             z = mode_k1k2_unfold(x + mult[i] / beta[i], pairs[i])
             try:
-                shrunk = t_svt(z, cfg.alpha[i] / beta[i])
+                shrunk = t_svt(z, 1 / rho)
             except np.linalg.LinAlgError as exc:
                 raise type(exc)(f"sweep {sweep}, mode pair {pairs[i]}: {exc}") from exc
             y[i] = mode_k1k2_fold(shrunk, pairs[i], x.shape)
-        beta_sum = sum(beta[i] for i in active)
-        x_new, gap = combine(sum(beta[i] * y[i] - mult[i] for i in active), beta_sum)
+        num = sum(beta[i] * y[i] - mult[i] for i in active)
+        x_new, gap = combine(num, rho, rho * sum(cfg.alpha[i] for i in active))
         rel = _rel_change(x_new, x)
         for i in active:
             mult[i] = mult[i] + beta[i] * (x_new - y[i])
-            beta[i] = min(cfg.gamma * beta[i], PENALTY_MAX)
+        rho = min(cfg.gamma * rho, PENALTY_MAX)
         x = x_new
         report.rel_change_trace.append(rel)
         if rel < cfg.rel_tol and gap < cfg.rel_tol:

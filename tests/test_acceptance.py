@@ -3,9 +3,11 @@
 Each test prints a single "criterion NN ...: PASS/FAIL" line on the live
 terminal (bypassing capture) and then asserts. The synthetic criteria
 write their results to CSV; the determinism criterion recomputes them
-from the same seeds and requires byte-identical CSV output.
+from the same seeds, requires byte-identical CSV output, and prints the
+sha256 of each CSV above its own line.
 """
 
+import hashlib
 import io
 
 import numpy as np
@@ -278,4 +280,9 @@ def test_criterion_10_determinism(
         run_trpca_cells()[1],
     ]
     ok = all(a == b for a, b in zip(first, second))
+    # the CSV hashes on the live terminal, so a log records each run's
+    # figures and a change to them shows without recomputing them by hand
+    with capsys.disabled():
+        for num, csv in zip((5, 6, 7, 8), first):
+            print(f"criterion {num:02d} CSV sha256 {hashlib.sha256(csv).hexdigest()}")
     report(capsys, 10, "byte-identical rerun of synthetic criteria", ok)

@@ -108,11 +108,19 @@ class TestConfigValidation:
         lambda: solvers.LrtcConfig(p_max=True).validated(CUBE),
         lambda: solvers.LrtcConfig(rel_tol=True).validated(CUBE),
         lambda: solvers.TrpcaConfig(p_max=np.True_).validated(CUBE),
+        # a setting that is not a number names the setting in a ValueError,
+        # not a TypeError from the arithmetic on it
+        lambda: solvers.TrpcaConfig(lam=True).validated(CUBE),
+        lambda: solvers.TrpcaConfig(lam="0.1").validated(CUBE),
+        lambda: solvers.LrtcConfig(rel_tol="x").validated(CUBE),
+        lambda: sample_mask(CUBE, True),
+        lambda: add_salt_pepper(np.ones(CUBE), False),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
         "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge", "tau-bool",
-        "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool",
+        "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool", "lam-bool", "lam-string",
+        "rel_tol-string", "sr-bool", "nl-bool",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):
@@ -126,10 +134,14 @@ class TestConfigValidation:
         for name, solve in [
             ("beta = alpha / tau",
              lambda: solvers.lrtc_solve(x, mask, solvers.LrtcConfig(alpha=(1, 5e-324, 0)))),
-            # the betas (2e307 and 9e307) are normal, and 1 / 5e-309 is inf
+            # alpha / tau (2e307 and 9e307) would be normal, but 1 / 5e-309
+            # is inf, and every pair's penalty is alpha times that rho
             ("rho = 1 / tau",
              lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(alpha=(0.1, 0.45, 0.45),
                                                                 tau=5e-309))),
+            ("rho = 1 / tau",
+             lambda: solvers.lrtc_solve(x, mask, solvers.LrtcConfig(alpha=(0.1, 0.45, 0.45),
+                                                                    tau=5e-309))),
             ("lam / rho", lambda: solvers.trpca_solve(x, solvers.TrpcaConfig(lam=5e-324))),
         ]:
             with pytest.raises(ValueError, match=rf"^{name} must be a positive normal float"):
@@ -473,6 +485,37 @@ class TestOneBufferAdmm:
         assert lean_report.converged == ref_report.converged
         for a, b in zip(lean[:-1], ref[:-1]):
             assert frobenius_norm(a - b) <= 1e-10 * frobenius_norm(b)
+
+
+class TestOnePenalty:
+    """Every pair's t-SVT threshold in a sweep is the one number 1 / rho_k,
+    where rho_1 = 1 / tau and rho_{k+1} = min(gamma * rho_k, PENALTY_MAX).
+    At tau 1e-8 robust PCA runs sweeps 27-40 at the cap."""
+
+    @pytest.mark.parametrize("tau", [3.0, 1e-8])
+    @pytest.mark.parametrize("task", ["lrtc", "trpca"])
+    def test_each_sweep_uses_one_threshold(self, monkeypatch, task, tau):
+        shape, alpha = (8, 9, 7), (0.5, 0.3, 0.2)
+        truth = gen_cp_tensor(CpSpec(shape, 2, 0))
+        thresholds, real_t_svt = [], solvers.t_svt
+
+        def spy(z, threshold):
+            thresholds.append(threshold)
+            return real_t_svt(z, threshold)
+
+        monkeypatch.setattr(solvers, "t_svt", spy)
+        if task == "lrtc":
+            mask = sample_mask(shape, 0.5, 1)
+            cfg = solvers.LrtcConfig(alpha=alpha, tau=tau, rel_tol=0, p_max=40)
+            solvers.lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+        else:
+            cfg = solvers.TrpcaConfig(alpha=alpha, tau=tau, rel_tol=0, p_max=40)
+            solvers.trpca_solve(add_salt_pepper(truth, 0.1, 1), cfg)
+        assert len(thresholds) == 3 * 40
+        rho = 1 / tau
+        for sweep in range(40):
+            assert thresholds[3 * sweep:3 * sweep + 3] == [1 / rho] * 3, f"sweep {sweep + 1}"
+            rho = min(cfg.gamma * rho, solvers.PENALTY_MAX)
 
 
 class TestWorkingSet:

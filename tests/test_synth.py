@@ -242,10 +242,16 @@ class TestPhaseSweep:
         ("complete", (True, 5, 5), [0.5], None),
         ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(p_max=True)),
         ("rpca", (5, 5, 5), [0.1], solvers.TrpcaConfig(tau=True)),
+        ("complete", (5, 5, 5), [True], None),
+        ("rpca", (5, 5, 5), [False], None),
+        ("rpca", (5, 5, 5), [0.1], solvers.TrpcaConfig(lam=True)),
+        ("rpca", (5, 5, 5), [0.1], solvers.TrpcaConfig(lam="0.1")),
+        ("complete", (5, 5, 5), [0.5], solvers.LrtcConfig(rel_tol="x")),
     ], ids=[
         "sr-1.5", "sr-nan", "nl-1.0", "tau-nan", "alpha-nan", "alpha-4way",
         "complete-trpca-template", "rpca-lrtc-template", "lam-nan", "p_max-2.5",
-        "shape-5.7", "shape-bool", "p_max-bool", "tau-bool",
+        "shape-5.7", "shape-bool", "p_max-bool", "tau-bool", "sr-bool", "nl-bool",
+        "lam-bool", "lam-string", "rel_tol-string",
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, shape, levels, cfg):
