@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .tensor_ops import mode_k1k2_unfold, mode_pairs
+from .tensor_ops import _is_real, mode_k1k2_unfold, mode_pairs
 from .tsvd import tnn, tubal_rank
 
 __all__ = [
@@ -89,7 +89,7 @@ def weights_rank_aware(
     normalized by their sum R, so a lower relative rank gets a larger
     weight. Deficits are floored at 0 for ranks exceeding the extent.
     """
-    if not np.isfinite(eta):
+    if not (_is_real(eta) and np.isfinite(eta)):
         raise ValueError(f"eta must be finite, got {eta!r}")
     shape = tuple(shape)
     pairs = mode_pairs(len(shape))
@@ -111,6 +111,6 @@ def weights_rank_aware(
 def weights_spectral(theta: float = 0.001) -> np.ndarray:
     """Three-way weights (theta, 1, 1)/(2 + theta) for data with one
     strongly correlated mode (e.g. a spectral axis)."""
-    if not 0 <= theta < np.inf:
+    if not (_is_real(theta) and 0 <= theta < np.inf):
         raise ValueError(f"theta must be finite and nonnegative, got {theta!r}")
     return np.array([theta, 1.0, 1.0]) / (2.0 + theta)

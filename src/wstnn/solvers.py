@@ -23,7 +23,6 @@ must scale with the data. Pairs with zero weight are skipped entirely.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -31,7 +30,8 @@ from typing import ClassVar
 import numpy as np
 
 from .ntubal import validate_weights, weights_uniform
-from .tensor_ops import frobenius_norm, mode_k1k2_fold, mode_k1k2_unfold, mode_pairs
+from .tensor_ops import (_is_int, _is_real, frobenius_norm, mode_k1k2_fold,
+                         mode_k1k2_unfold, mode_pairs)
 from .tsvd import t_svt
 
 __all__ = [
@@ -46,11 +46,6 @@ __all__ = [
 
 #: cap on the ADMM penalty rho, so pair i's penalty stops at alpha_i * PENALTY_MAX
 PENALTY_MAX = 1e10
-
-
-def _is_number(value) -> bool:
-    # bool is an Integral, but True is neither a sweep count nor a threshold
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(kw_only=True)
@@ -79,12 +74,11 @@ class _SolverConfig:
         block that is not a positive normal float, is a ``ValueError``."""
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
-        if not (_is_number(self.tau) and 0 < self.tau < np.inf):
+        if not (_is_real(self.tau) and 0 < self.tau < np.inf):
             raise ValueError(f"tau must be one positive finite number, got {self.tau!r}")
-        if not (_is_number(self.p_max) and isinstance(self.p_max, numbers.Integral)
-                and self.p_max >= 1):
+        if not (_is_int(self.p_max) and self.p_max >= 1):
             raise ValueError(f"p_max must be an integer >= 1, got {self.p_max!r}")
-        if not (_is_number(self.rel_tol) and np.isfinite(self.rel_tol)):
+        if not (_is_real(self.rel_tol) and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be one finite number, got {self.rel_tol!r}")
         cfg = replace(self, alpha=alpha, tau=float(self.tau))
         # _resolve fills the subclass's own None settings on the copy and
@@ -117,7 +111,7 @@ class TrpcaConfig(_SolverConfig):
     def _resolve(self, shape) -> dict:
         if self.lam is None:
             self.lam = default_lambda(shape, self.alpha)
-        if not _is_number(self.lam):
+        if not _is_real(self.lam):
             raise ValueError(f"lam must be a number or None, got {self.lam!r}")
         return {"lam / rho": self.lam / self.rho}
 
@@ -147,7 +141,7 @@ class SolveReport:
 
 def soft_threshold(x: np.ndarray, xi: float) -> np.ndarray:
     """Elementwise shrinkage sgn(x) * max(|x| - xi, 0)."""
-    if not xi >= 0:
+    if not (_is_real(xi) and xi >= 0):
         raise ValueError("threshold xi must be nonnegative")
     return np.sign(x) * np.maximum(np.abs(x) - xi, 0.0)
 

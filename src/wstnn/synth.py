@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ctypes
 import logging
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
-from .tensor_ops import frobenius_norm, mode_pairs
+from .tensor_ops import _is_int, _is_real, frobenius_norm, mode_pairs
 
 __all__ = [
     "CpSpec",
@@ -59,16 +58,14 @@ class CpSpec:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        # bool is an Integral, but True is neither an extent nor a rank
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   for n in self.shape):
+        if not all(map(_is_int, self.shape)):
             raise ValueError(f"extents must be integers, got {tuple(self.shape)}")
         self.shape = tuple(int(n) for n in self.shape)
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
         if min(self.shape) < 1:
             raise ValueError(f"extents must be positive, got {self.shape}")
-        if isinstance(self.cp_rank, bool) or not isinstance(self.cp_rank, numbers.Integral):
+        if not _is_int(self.cp_rank):
             raise ValueError(f"cp_rank must be an integer, got {self.cp_rank!r}")
         if not 1 <= self.cp_rank <= min(self.shape):
             raise ValueError(f"cp_rank {self.cp_rank} must lie in [1, min extent] "
@@ -113,15 +110,13 @@ def gen_cp_tensor(spec: CpSpec) -> np.ndarray:
     )
 
 
-# a level must be a real number: True is not a sampling rate, and a
-# string would raise TypeError at the comparison
 def _check_sampling_rate(sr: float) -> None:
-    if not (isinstance(sr, numbers.Real) and not isinstance(sr, bool) and 0.0 < sr <= 1.0):
+    if not (_is_real(sr) and 0.0 < sr <= 1.0):
         raise ValueError(f"sampling rate must lie in (0, 1], got {sr!r}")
 
 
 def _check_noise_level(nl: float) -> None:
-    if not (isinstance(nl, numbers.Real) and not isinstance(nl, bool) and 0.0 <= nl < 1.0):
+    if not (_is_real(nl) and 0.0 <= nl < 1.0):
         raise ValueError(f"noise level must lie in [0, 1), got {nl!r}")
 
 
@@ -183,12 +178,9 @@ class PhaseGrid:
     def __post_init__(self):
         if not self.ranks or not self.levels:
             raise ValueError("ranks and levels must be nonempty")
-        # bool is an Integral, but True is neither a count nor a threshold
-        if isinstance(self.trials, bool) or not (
-                isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if isinstance(self.success_threshold, (bool, np.bool_)) or not (
-                0.0 < self.success_threshold < np.inf):
+        if not (_is_real(self.success_threshold) and 0.0 < self.success_threshold < np.inf):
             raise ValueError("success_threshold must be positive and finite")
 
 

@@ -8,6 +8,8 @@ column-major (first index varies fastest), so ``vectorize`` is
     j = i_1 + sum_{s>=2} (i_s - 1) * n_1 * ... * n_{s-1}.
 
 Mode indices and mode pairs are 1-based throughout the public API.
+``_is_real`` and ``_is_int`` state the package's number rule: a setting
+is a real number (an integer for a count, mode or extent), never a bool.
 
 One layout rule gives every unfolding: the lead modes first, then the
 remaining modes in ascending order, flattened column-major into one last
@@ -21,7 +23,7 @@ tensor is): callers must not write into one, but copy it first.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -37,12 +39,23 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    """A real number, not a ``bool`` (``numpy.bool_`` is no number at all)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """An integer, not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _axes(modes, ndim: int, lead: int) -> list[int]:
     """0-based axis order of an unfolding: the ``lead`` 1-based ``modes``,
     which must be integers increasing within 1..ndim, then the rest."""
     try:
-        ks = [operator.index(k) for k in modes]
-        valid = len(ks) == lead and all(a < b for a, b in zip([0, *ks], [*ks, ndim + 1]))
+        ks = [int(k) for k in modes if _is_int(k)]
+        valid = (len(ks) == len(modes) == lead
+                 and all(a < b for a, b in zip([0, *ks], [*ks, ndim + 1])))
     except TypeError:
         valid = False
     if not valid:

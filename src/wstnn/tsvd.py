@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import frobenius_norm
+from .tensor_ops import _is_real, frobenius_norm
 
 __all__ = [
     "NumericError",
@@ -247,7 +247,7 @@ def tubal_rank(x: np.ndarray, rel_threshold: float | None = None) -> int:
     x = _require_3way(x)
     if rel_threshold is None:
         rel_threshold = max(x.shape) * np.finfo(np.float64).eps
-    if not 0.0 < rel_threshold < 1.0:
+    if not (_is_real(rel_threshold) and 0.0 < rel_threshold < 1.0):
         raise ValueError("rel_threshold must lie in (0, 1)")
     sv = fourier_singular_values(x)
     cutoff = rel_threshold * float(sv.max(initial=0.0))
@@ -281,7 +281,7 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     spectrum and its inverse hold no more than the forward ``fft``, which
     converts the real input to a complex copy beside the spectrum, and the
     spectrum is dropped before the real part is copied out."""
-    if not tau >= 0:
+    if not (_is_real(tau) and tau >= 0):
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
     ref_norm = frobenius_norm(z)

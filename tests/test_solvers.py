@@ -10,9 +10,11 @@ from oracles import two_buffer_admm
 from test_tsvd import small_shapes, traced_peak
 
 from wstnn import solvers
-from wstnn.ntubal import weights_rank_aware, weights_spectral, weights_uniform, wstnn
-from wstnn.synth import CpSpec, add_salt_pepper, gen_cp_tensor, rse, sample_mask
+from wstnn.ntubal import (estimate_n_tubal_rank, weights_rank_aware, weights_spectral,
+                          weights_uniform, wstnn)
+from wstnn.synth import CpSpec, PhaseGrid, add_salt_pepper, gen_cp_tensor, rse, sample_mask
 from wstnn.tensor_ops import frobenius_norm, mode_pairs
+from wstnn.tsvd import t_svt, tubal_rank
 
 
 class TestSoftThreshold:
@@ -115,12 +117,29 @@ class TestConfigValidation:
         lambda: solvers.LrtcConfig(rel_tol="x").validated(CUBE),
         lambda: sample_mask(CUBE, True),
         lambda: add_salt_pepper(np.ones(CUBE), False),
+        # the same rule holds for the weight, rank and threshold functions
+        # and the sweep grid, not only for the configs
+        lambda: weights_spectral(True),
+        lambda: weights_spectral("0.1"),
+        lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=True),
+        lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta="1"),
+        lambda: tubal_rank(np.ones(CUBE), "0.1"),
+        lambda: estimate_n_tubal_rank(np.ones(CUBE), "0.1"),
+        lambda: solvers.soft_threshold(np.ones(3), True),
+        lambda: solvers.soft_threshold(np.ones(3), "1"),
+        lambda: t_svt(np.ones(CUBE), True),
+        lambda: t_svt(np.ones(CUBE), "1"),
+        lambda: PhaseGrid(success_threshold="1e-3"),
+        lambda: PhaseGrid(success_threshold=None),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
         "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge", "tau-bool",
         "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool", "lam-bool", "lam-string",
-        "rel_tol-string", "sr-bool", "nl-bool",
+        "rel_tol-string", "sr-bool", "nl-bool", "theta-bool", "theta-string", "eta-bool",
+        "eta-string", "rel_threshold-string", "estimate-rel_threshold-string", "xi-bool",
+        "xi-string", "t_svt-tau-bool", "t_svt-tau-string", "success_threshold-string",
+        "success_threshold-none",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):

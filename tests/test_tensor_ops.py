@@ -94,7 +94,7 @@ class TestModeKUnfold:
         x = random_tensor((2, 2, 2))
         m = top.mode_k_unfold(x, 1)
         # out of range, or not one integer
-        for k in [4, 0, 1.5, 2.0, (1,)]:
+        for k in [4, 0, 1.5, 2.0, (1,), True]:
             with pytest.raises(ValueError, match="invalid modes"):
                 top.mode_k_unfold(x, k)
             with pytest.raises(ValueError, match="invalid modes"):
@@ -174,7 +174,8 @@ class TestModeK1K2:
     def test_invalid_pair(self):
         x = random_tensor((2, 2, 2), 10)
         # out of range or not increasing, not two modes, or not integers
-        for pair in [(2, 1), (0, 1), (1, 4), (2, 2), (1, 2, 3), (1,), 3, (1.0, 2), (1, 1.5)]:
+        for pair in [(2, 1), (0, 1), (1, 4), (2, 2), (1, 2, 3), (1,), 3, (1.0, 2), (1, 1.5),
+                     (True, 2)]:
             with pytest.raises(ValueError, match="invalid modes"):
                 top.mode_k1k2_unfold(x, pair)
             with pytest.raises(ValueError, match="invalid modes"):
