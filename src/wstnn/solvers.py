@@ -68,10 +68,13 @@ class _SolverConfig:
 
     def validated(self, shape: tuple[int, ...]):
         """Copy resolved for data of this ``shape``: ``alpha=None`` is
-        uniform weights. A setting that is not a number (a ``bool`` or a
-        string included) or is out of range (tau must be one positive,
-        finite real number), or a starting penalty of an active pair or
-        block that is not a positive normal float, is a ``ValueError``."""
+        uniform weights. A zero extent in ``shape``, a setting that is not a
+        number (a ``bool`` or a string included) or is out of range (tau
+        must be one positive, finite real number), or a starting penalty of
+        an active pair or block that is not a positive normal float, is a
+        ``ValueError``."""
+        if min(shape, default=1) < 1:
+            raise ValueError(f"extents must be positive, got {tuple(shape)}")
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
         if not (_is_real(self.tau) and 0 < self.tau < np.inf):

@@ -201,27 +201,18 @@ class TrialRecord:
     error: bool = False
 
 
-def _run_completion_trial(shape, rank, sr, trial, seed, cfg_template) -> TrialRecord:
-    gen_seed, mask_seed = seed.spawn(2)
+def _run_trial(task, shape, rank, level, trial, seed, cfg) -> TrialRecord:
+    # every call goes through this module's globals, looked up when the
+    # trial runs in the worker, so a replacement installed before the pool
+    # forked (a test's fake, the benchmark's tracer) is the one called
+    gen_seed, corrupt_seed = seed.spawn(2)
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
-    mask = sample_mask(shape, sr, mask_seed)
-    xhat, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg_template or LrtcConfig())
-    return TrialRecord(rank, sr, trial, rse(xhat, truth), report)
-
-
-def _run_rpca_trial(shape, rank, nl, trial, seed, cfg_template) -> TrialRecord:
-    gen_seed, noise_seed = seed.spawn(2)
-    truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
-    noisy = add_salt_pepper(truth, nl, noise_seed)
-    low, _, report = trpca_solve(noisy, cfg_template or TrpcaConfig())
-    return TrialRecord(rank, nl, trial, rse(low, truth), report)
-
-
-def _run_trial(task, shape, rank, level, trial, seed, cfg_template) -> TrialRecord:
-    # looks the trial function up when it runs, in the worker, so a
-    # replacement installed before the pool forked is the one called
-    run = _run_completion_trial if task == "complete" else _run_rpca_trial
-    return run(shape, rank, level, trial, seed, cfg_template)
+    if task == "complete":
+        mask = sample_mask(shape, level, corrupt_seed)
+        estimate, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+    else:
+        estimate, _, report = trpca_solve(add_salt_pepper(truth, level, corrupt_seed), cfg)
+    return TrialRecord(rank, level, trial, rse(estimate, truth), report)
 
 
 def _openblas_function(name: str):
@@ -282,10 +273,10 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
                                else (_check_noise_level, TrpcaConfig))
     for level in grid.levels:
         check_level(level)
-    if config_template is not None:
-        if not isinstance(config_template, config_cls):
-            raise ValueError(f"task {task!r} takes a {config_cls.__name__} template")
-        config_template.validated(shape)
+    cfg = config_cls() if config_template is None else config_template
+    if not isinstance(cfg, config_cls):
+        raise ValueError(f"task {task!r} takes a {config_cls.__name__} template")
+    cfg.validated(shape)
     # imported here: every process that imports wstnn would pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -307,7 +298,7 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
             futures = [
                 (rank, level, trial, pool.submit(
                     _run_trial, task, shape, rank, level, trial,
-                    _trial_seed(base_seed, cell, trial), config_template,
+                    _trial_seed(base_seed, cell, trial), cfg,
                 ))
                 for cell, (rank, level) in enumerate(cells)
                 for trial in range(grid.trials)

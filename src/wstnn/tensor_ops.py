@@ -67,8 +67,9 @@ def _axes(modes, ndim: int, lead: int) -> list[int]:
 def _unfold(x: np.ndarray, modes, lead: int) -> np.ndarray:
     x = np.asarray(x)
     axes = _axes(modes, x.ndim, lead)
+    extents = [x.shape[a] for a in axes]
     return np.transpose(x, axes).reshape(
-        [x.shape[a] for a in axes[:lead]] + [-1], order="F"
+        [*extents[:lead], math.prod(extents[lead:])], order="F"
     )
 
 

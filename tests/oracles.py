@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from wstnn import synth
-from wstnn.solvers import PENALTY_MAX, SolveReport, _rel_change
+from wstnn.solvers import PENALTY_MAX, LrtcConfig, SolveReport, TrpcaConfig, _rel_change
 from wstnn.tensor_ops import (
     frobenius_norm,
     mode_k1k2_fold,
@@ -145,7 +145,9 @@ def two_buffer_admm(x0, cfg, combine, start):
 
 def phase_trials_serial(grid, task, shape, base_seed=0, cfg=None):
     """``synth.phase_trials`` as one loop over cells and trials, with the
-    same trial functions and per-trial seeds."""
+    same trial function, per-trial seeds and default config."""
+    if cfg is None:
+        cfg = LrtcConfig() if task == "complete" else TrpcaConfig()
     records = []
     cells = [(rank, level) for rank in grid.ranks for level in grid.levels]
     for cell, (rank, level) in enumerate(cells):

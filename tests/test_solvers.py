@@ -131,6 +131,9 @@ class TestConfigValidation:
         lambda: t_svt(np.ones(CUBE), "1"),
         lambda: PhaseGrid(success_threshold="1e-3"),
         lambda: PhaseGrid(success_threshold=None),
+        # a zero extent is a bad shape, not a division by zero in lam
+        lambda: solvers.LrtcConfig().validated((3, 0, 3)),
+        lambda: solvers.TrpcaConfig().validated((3, 0, 3)),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
@@ -139,7 +142,7 @@ class TestConfigValidation:
         "rel_tol-string", "sr-bool", "nl-bool", "theta-bool", "theta-string", "eta-bool",
         "eta-string", "rel_threshold-string", "estimate-rel_threshold-string", "xi-bool",
         "xi-string", "t_svt-tau-bool", "t_svt-tau-string", "success_threshold-string",
-        "success_threshold-none",
+        "success_threshold-none", "lrtc-zero-extent", "trpca-zero-extent",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):

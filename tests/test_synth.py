@@ -212,12 +212,18 @@ class TestPhaseSweep:
         with pytest.raises(ValueError):
             synth.phase_sweep(synth.PhaseGrid(), "denoise", (5, 5, 5))
 
-    def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
-        def trial(shape, rank, level, index, seed, cfg):
-            (tmp_path / f"{rank}-{seed.spawn_key}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
+    @staticmethod
+    def _marking_gen(tmp_path):
+        # a trial's draw, faked: leaves a file named by the draw's seed,
+        # (cell, trial, 0), and returns a constant tensor
+        def gen(spec):
+            (tmp_path / "-".join(map(str, spec.seed.spawn_key))).touch()
+            return np.ones(spec.shape)
 
-        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        return gen
+
+    def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(synth, "gen_cp_tensor", self._marking_gen(tmp_path))
         grid = synth.PhaseGrid(ranks=[1, 2, 6], levels=[0.5], trials=2)
         with pytest.raises(ValueError, match=r"cp_rank 6 .*\(5, 5, 5\)"):
             synth.phase_sweep(grid, "complete", (5, 5, 5))
@@ -255,12 +261,7 @@ class TestPhaseSweep:
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, shape, levels, cfg):
-        def trial(shape, rank, level, index, seed, cfg):
-            (tmp_path / f"{level}-{seed.spawn_key}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
-
-        monkeypatch.setattr(synth, "_run_completion_trial", trial)
-        monkeypatch.setattr(synth, "_run_rpca_trial", trial)
+        monkeypatch.setattr(synth, "gen_cp_tensor", self._marking_gen(tmp_path))
         grid = synth.PhaseGrid(ranks=[1], levels=levels, trials=2)
         with pytest.raises(ValueError):
             synth.phase_sweep(grid, task, shape, config_template=cfg)
@@ -306,17 +307,18 @@ class TestPhaseSweep:
         assert all(isinstance(r.exc_info[1], NumericError) for r in logged)
 
     def test_programming_error_cancels_pending_trials(self, monkeypatch, tmp_path):
-        # the first trial raises at once, every other one takes 50 ms and
-        # leaves a file behind; 40 trials on two workers would take a
-        # second to run out
-        def trial(shape, rank, level, index, seed, cfg):
+        # the first trial's draw raises at once, every other one takes
+        # 50 ms and leaves a file behind; 40 trials on two workers would
+        # take a second to run out
+        def gen(spec):
+            _, index, _ = spec.seed.spawn_key
             if index == 0:
                 raise TypeError("bug")
             time.sleep(0.05)
             (tmp_path / f"{index}").touch()
-            return synth.TrialRecord(rank, level, index, 0.0, SolveReport())
+            return np.ones(spec.shape)
 
-        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        monkeypatch.setattr(synth, "gen_cp_tensor", gen)
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=40)
         with pytest.raises(TypeError, match="bug"):
             synth.phase_sweep(grid, "complete", (5, 5, 5))
@@ -354,17 +356,20 @@ class TestPhaseSweep:
                 == synth.phase_trials(grid, task, shape, 3, explicit))
 
     def test_errors_match_serial_reference(self, monkeypatch, caplog):
-        # each trial's seed picks its outcome: a numeric breakdown of
-        # either kind, a success, or a failure
-        def trial(shape, rank, level, index, seed, cfg):
-            outcome = seed.generate_state(1)[0] % 4
+        # each trial's draw seed picks its outcome: a numeric breakdown of
+        # either kind, or a constant truth of 2 or 3 that the faked solve
+        # estimates as 2, a success (RSE 0) or a failure (RSE 1/9)
+        def gen(spec):
+            outcome = spec.seed.generate_state(1)[0] % 4
             if outcome == 0:
                 raise NumericError("breakdown")
             if outcome == 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return synth.TrialRecord(rank, level, index, outcome - 2.0, SolveReport())
+            return np.full(spec.shape, float(outcome))
 
-        monkeypatch.setattr(synth, "_run_rpca_trial", trial)
+        monkeypatch.setattr(synth, "gen_cp_tensor", gen)
+        monkeypatch.setattr(synth, "trpca_solve",
+                            lambda x, cfg: (np.full_like(x, 2.0), None, SolveReport()))
         grid = synth.PhaseGrid(ranks=[1, 2, 2], levels=[0.1, 0.2], trials=5)
         with caplog.at_level(logging.ERROR, logger="wstnn.synth"):
             rows = synth.phase_sweep(grid, "rpca", (5, 5, 5), base_seed=4)
@@ -379,10 +384,9 @@ class TestPhaseSweep:
             pytest.skip("no OpenBLAS thread controls found in numpy's bundled libraries")
         get_threads.restype = ctypes.c_int
 
-        def trial(shape, rank, level, index, seed, cfg):
-            return synth.TrialRecord(rank, level, index, float(get_threads() != 1), SolveReport())
-
-        monkeypatch.setattr(synth, "_run_completion_trial", trial)
+        # each trial scores its worker's BLAS thread count: 0 (a success)
+        # when it is one
+        monkeypatch.setattr(synth, "rse", lambda xhat, x: float(get_threads() != 1))
         grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=4)
         rows = synth.phase_sweep(grid, "complete", (5, 5, 5))
         assert rows[0]["successes"] == 4

@@ -68,7 +68,8 @@ class TestVectorize:
 
 
 class TestModeKUnfold:
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 2), (3, 1, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 2), (3, 1, 2, 2, 2), (0, 3, 2),
+                                       (3, 0, 2)])
     def test_roundtrip(self, shape):
         x = random_tensor(shape, 2)
         for k in range(1, len(shape) + 1):
@@ -184,6 +185,15 @@ class TestModeK1K2:
     def test_fold_shape_mismatch(self):
         with pytest.raises(ValueError):
             top.mode_k1k2_fold(np.zeros((2, 2, 5)), (1, 2), (2, 2, 4))
+
+    # an empty mode unfolds as any other, in the lead or in the trailing axis
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 2, 2)])
+    def test_zero_extent_roundtrip(self, shape):
+        x = np.zeros(shape)
+        for k1, k2 in top.mode_pairs(len(shape)):
+            y = top.mode_k1k2_unfold(x, (k1, k2))
+            assert y.shape[:2] == (shape[k1 - 1], shape[k2 - 1]) and y.size == 0
+            assert top.mode_k1k2_fold(y, (k1, k2), shape).shape == shape
 
     @settings(max_examples=30, deadline=None)
     @given(shape=shapes, data=st.data())
