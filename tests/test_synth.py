@@ -213,17 +213,22 @@ class TestPhaseSweep:
             synth.phase_sweep(synth.PhaseGrid(), "denoise", (5, 5, 5))
 
     @staticmethod
-    def _marking_gen(tmp_path):
-        # a trial's draw, faked: leaves a file named by the draw's seed,
-        # (cell, trial, 0), and returns a constant tensor
-        def gen(spec):
-            (tmp_path / "-".join(map(str, spec.seed.spawn_key))).touch()
-            return np.ones(spec.shape)
+    def _marking_spec(tmp_path):
+        # the first call a trial makes in the worker, wrapped: a spec built
+        # with a trial's draw seed leaves a file named by that seed,
+        # (cell, trial, 0), before the real CpSpec checks anything. The
+        # parent's own CpSpec(shape, rank) checks pass no seed and leave none
+        real = synth.CpSpec
 
-        return gen
+        def spec(shape, rank, seed=0):
+            if isinstance(seed, np.random.SeedSequence):
+                (tmp_path / "-".join(map(str, seed.spawn_key))).touch()
+            return real(shape, rank, seed)
+
+        return spec
 
     def test_rank_above_shape_rejected_before_any_trial(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(synth, "gen_cp_tensor", self._marking_gen(tmp_path))
+        monkeypatch.setattr(synth, "CpSpec", self._marking_spec(tmp_path))
         grid = synth.PhaseGrid(ranks=[1, 2, 6], levels=[0.5], trials=2)
         with pytest.raises(ValueError, match=r"cp_rank 6 .*\(5, 5, 5\)"):
             synth.phase_sweep(grid, "complete", (5, 5, 5))
@@ -261,7 +266,7 @@ class TestPhaseSweep:
     ])
     def test_bad_setting_rejected_before_any_trial(self, monkeypatch, tmp_path,
                                                    task, shape, levels, cfg):
-        monkeypatch.setattr(synth, "gen_cp_tensor", self._marking_gen(tmp_path))
+        monkeypatch.setattr(synth, "CpSpec", self._marking_spec(tmp_path))
         grid = synth.PhaseGrid(ranks=[1], levels=levels, trials=2)
         with pytest.raises(ValueError):
             synth.phase_sweep(grid, task, shape, config_template=cfg)
