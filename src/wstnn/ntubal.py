@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .tensor_ops import _is_real, mode_k1k2_unfold, mode_pairs
+from .tensor_ops import _is_real, _nway_shape, mode_k1k2_unfold, mode_pairs
 from .tsvd import tnn, tubal_rank
 
 __all__ = [
@@ -52,8 +52,7 @@ def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndar
     """N-tubal rank: the :func:`~wstnn.tsvd.tubal_rank` of every mode-pair
     unfolding, at relative threshold ``rel_threshold``."""
     x = np.asarray(x)
-    if x.ndim < 3:
-        raise ValueError("N-tubal rank requires an order >= 3 tensor")
+    _nway_shape(x.shape)
     return np.array(
         [tubal_rank(mode_k1k2_unfold(x, p), rel_threshold) for p in mode_pairs(x.ndim)],
         dtype=np.int64,
@@ -63,7 +62,7 @@ def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndar
 def wstnn(x: np.ndarray, alpha: np.ndarray) -> float:
     """Weighted sum of the tnn of each mode-pair unfolding: the completion objective."""
     x = np.asarray(x)
-    alpha = validate_weights(alpha, x.ndim)
+    alpha = validate_weights(alpha, len(_nway_shape(x.shape)))
     return float(
         sum(
             a * tnn(mode_k1k2_unfold(x, pair))
@@ -91,13 +90,13 @@ def weights_rank_aware(
     """
     if not (_is_real(eta) and np.isfinite(eta)):
         raise ValueError(f"eta must be finite, got {eta!r}")
-    shape = tuple(shape)
+    shape = _nway_shape(shape)
     pairs = mode_pairs(len(shape))
     rank = np.asarray(rank, dtype=np.float64)
     if rank.shape != (len(pairs),):
         raise ValueError("rank vector length does not match tensor order")
-    if not np.isfinite(rank).all():
-        raise ValueError(f"ranks must be finite, got {rank.tolist()}")
+    if not (np.isfinite(rank) & (rank >= 0)).all():
+        raise ValueError(f"ranks must be finite and nonnegative, got {rank.tolist()}")
     mins = np.array([min(shape[k1 - 1], shape[k2 - 1]) for k1, k2 in pairs], float)
     deficits = np.maximum((mins - rank) / mins, 0.0)
     total = deficits.sum()

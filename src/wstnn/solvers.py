@@ -30,8 +30,8 @@ from typing import ClassVar
 import numpy as np
 
 from .ntubal import validate_weights, weights_uniform
-from .tensor_ops import (_is_int, _is_real, frobenius_norm, mode_k1k2_fold,
-                         mode_k1k2_unfold, mode_pairs)
+from .tensor_ops import (_is_int, _is_real, _nway_shape, frobenius_norm,
+                         mode_k1k2_fold, mode_k1k2_unfold, mode_pairs)
 from .tsvd import t_svt
 
 __all__ = [
@@ -68,13 +68,12 @@ class _SolverConfig:
 
     def validated(self, shape: tuple[int, ...]):
         """Copy resolved for data of this ``shape``: ``alpha=None`` is
-        uniform weights. A zero extent in ``shape``, a setting that is not a
-        number (a ``bool`` or a string included) or is out of range (tau
-        must be one positive, finite real number), or a starting penalty of
-        an active pair or block that is not a positive normal float, is a
-        ``ValueError``."""
-        if min(shape, default=1) < 1:
-            raise ValueError(f"extents must be positive, got {tuple(shape)}")
+        uniform weights. A ``shape`` off the N-way shape rule, a setting
+        that is not a number (a ``bool`` or a string included) or is out of
+        range (tau must be one positive, finite real number), or a starting
+        penalty of an active pair or block that is not a positive normal
+        float, is a ``ValueError``."""
+        shape = _nway_shape(shape)
         ndim = len(shape)
         alpha = weights_uniform(ndim) if self.alpha is None else validate_weights(self.alpha, ndim)
         if not (_is_real(self.tau) and 0 < self.tau < np.inf):
@@ -153,7 +152,7 @@ def default_lambda(shape: tuple[int, ...], alpha: np.ndarray) -> float:
     """Recommended weight ``lam`` of :func:`trpca_solve`'s objective
     ``ntubal.wstnn(low, alpha) + lam * ||sparse||_1``: sum over mode pairs of
     alpha / sqrt(max(n_k1, n_k2) * d), d the product of remaining extents."""
-    shape = tuple(shape)
+    shape = _nway_shape(shape)
     alpha = validate_weights(alpha, len(shape))
     total = float(np.prod(shape, dtype=np.float64))
     lam = 0.0

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
-from .tensor_ops import _is_int, _is_real, frobenius_norm, mode_pairs
+from .tensor_ops import _is_int, _is_real, _nway_shape, frobenius_norm, mode_pairs
 
 __all__ = [
     "CpSpec",
@@ -58,13 +58,7 @@ class CpSpec:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if not all(map(_is_int, self.shape)):
-            raise ValueError(f"extents must be integers, got {tuple(self.shape)}")
-        self.shape = tuple(int(n) for n in self.shape)
-        if len(self.shape) < 3:
-            raise ValueError("synthetic tensors must have order >= 3")
-        if min(self.shape) < 1:
-            raise ValueError(f"extents must be positive, got {self.shape}")
+        self.shape = _nway_shape(self.shape)
         if not _is_int(self.cp_rank):
             raise ValueError(f"cp_rank must be an integer, got {self.cp_rank!r}")
         if not 1 <= self.cp_rank <= min(self.shape):

@@ -9,7 +9,8 @@ column-major (first index varies fastest), so ``vectorize`` is
 
 Mode indices and mode pairs are 1-based throughout the public API.
 ``_is_real`` and ``_is_int`` state the package's number rule: a setting
-is a real number (an integer for a count, mode or extent), never a bool.
+is a real number (an integer for a count, mode or extent), never a bool,
+and ``_nway_shape`` the N-way shape rule: order >= 3, positive integer extents.
 
 One layout rule gives every unfolding: the lead modes first, then the
 remaining modes in ascending order, flattened column-major into one last
@@ -47,6 +48,18 @@ def _is_real(value) -> bool:
 def _is_int(value) -> bool:
     """An integer, not a ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _nway_shape(shape) -> tuple[int, ...]:
+    """``shape`` as ints; a ValueError unless order >= 3, extents positive integers."""
+    shape = tuple(shape)
+    if not all(map(_is_int, shape)):
+        raise ValueError(f"extents must be integers, got {shape}")
+    if len(shape) < 3:
+        raise ValueError(f"an N-way tensor has order >= 3, got shape {shape}")
+    if min(shape) < 1:
+        raise ValueError(f"extents must be positive, got {shape}")
+    return tuple(int(n) for n in shape)
 
 
 def _axes(modes, ndim: int, lead: int) -> list[int]:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _is_real, frobenius_norm
+from .tensor_ops import _is_int, _is_real, frobenius_norm
 
 __all__ = [
     "NumericError",
@@ -110,8 +110,8 @@ def _check_residue(resid: float, ref_norm: float) -> None:
 
 def identity_tensor(n: int, n3: int) -> np.ndarray:
     """First frontal slice is I_n, all other slices zero."""
-    if n < 1 or n3 < 1:
-        raise ValueError("identity tensor extents must be positive")
+    if not (_is_int(n) and _is_int(n3)) or n < 1 or n3 < 1:
+        raise ValueError(f"identity tensor extents must be positive integers, got {n!r}, {n3!r}")
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out

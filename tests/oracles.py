@@ -12,12 +12,19 @@ trial in turn in the calling process, the reference for the worker pool
 of ``wstnn.synth.phase_trials``, and ``factors_admissible_loop`` checks a
 draw one rank-one term at a time, the reference for the one DFT per mode
 pair of ``wstnn.synth._factors_admissible``.
+
+The shared test helpers live here too: ``random_tensor`` draws a
+standard normal tensor, ``brute_force_j`` is the per-index loop oracle of
+the column-major flat index, ``traced_peak`` measures the peak bytes a
+call allocates, and ``small_shapes`` draws small three-way shapes.
 """
 
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
+from hypothesis import strategies as st
 
 from wstnn import synth
 from wstnn.solvers import PENALTY_MAX, LrtcConfig, SolveReport, TrpcaConfig, _rel_change
@@ -29,6 +36,38 @@ from wstnn.tensor_ops import (
     vectorize,
 )
 from wstnn.tsvd import _check_residue, _svd, dft_tubes, idft_tubes, t_svt
+
+
+def random_tensor(shape, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def brute_force_j(indices, shape, skip):
+    """0-based flat index over the modes not in ``skip`` (1-based mode ids),
+    first surviving mode fastest."""
+    j = 0
+    stride = 1
+    for mode, (i, n) in enumerate(zip(indices, shape), start=1):
+        if mode in skip:
+            continue
+        j += i * stride
+        stride *= n
+    return j
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+small_shapes = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
+)
 
 
 def bcirc(x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import io
 import numpy as np
 import pytest
 
-from oracles import bcirc_oracle
+from oracles import bcirc_oracle, brute_force_j
 from wstnn import ntubal, solvers, synth, tsvd
 from wstnn.tensor_ops import (
     frobenius_norm,
@@ -32,17 +32,6 @@ def report(capsys, num, name, ok):
     with capsys.disabled():
         print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num:02d} {name} failed"
-
-
-def brute_force_j(indices, shape, skip):
-    j = 0
-    stride = 1
-    for mode, (i, n) in enumerate(zip(indices, shape), start=1):
-        if mode in skip:
-            continue
-        j += i * stride
-        stride *= n
-    return j
 
 
 def test_criterion_01_index_map_oracle(capsys):

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import random_tensor
 from wstnn import ntubal
 from wstnn.synth import CpSpec, gen_cp_tensor
 from wstnn.tensor_ops import mode_k1k2_unfold, mode_pairs
 from wstnn.tsvd import tnn
-
-
-def random_tensor(shape, seed=0):
-    return np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestWeights:

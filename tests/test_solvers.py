@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy import inf, nan
-from oracles import two_buffer_admm
-from test_tsvd import small_shapes, traced_peak
+from oracles import small_shapes, traced_peak, two_buffer_admm
 
 from wstnn import solvers
 from wstnn.ntubal import (estimate_n_tubal_rank, weights_rank_aware, weights_spectral,
                           weights_uniform, wstnn)
 from wstnn.synth import CpSpec, PhaseGrid, add_salt_pepper, gen_cp_tensor, rse, sample_mask
 from wstnn.tensor_ops import frobenius_norm, mode_pairs
-from wstnn.tsvd import t_svt, tubal_rank
+from wstnn.tsvd import identity_tensor, t_svt, tubal_rank
 
 
 class TestSoftThreshold:
@@ -100,6 +99,7 @@ class TestConfigValidation:
         lambda: weights_rank_aware((5, 5, 5), [1, 2, 3], eta=inf),
         lambda: weights_rank_aware((5, 5, 5), [nan, 1, 1]),
         lambda: weights_rank_aware((5, 5, 5), [1, inf, 1]),
+        lambda: weights_rank_aware((3, 3, 3), [-5, 1, 1]),
         lambda: weights_spectral(nan),
         lambda: weights_spectral(inf),
         # beta_2 = 5e-324 / 10 underflows to 0; every beta_i = (1/3) / 1e308
@@ -134,15 +134,21 @@ class TestConfigValidation:
         # a zero extent is a bad shape, not a division by zero in lam
         lambda: solvers.LrtcConfig().validated((3, 0, 3)),
         lambda: solvers.TrpcaConfig().validated((3, 0, 3)),
+        # an extent is an integer, for the t-SVD layer's identity too
+        lambda: identity_tensor(2.5, 2),
+        lambda: identity_tensor(True, 2),
+        lambda: identity_tensor(2, np.float64(3)),
     ], ids=[
         "alpha-nan", "tau-nan", "tau-inf", "tau-vector-nan", "rel_tol-nan", "rel_tol-inf",
         "lam-nan", "lam-inf", "trpca-tau-nan", "eta-nan", "eta-inf", "rank-nan", "rank-inf",
-        "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge", "tau-bool",
-        "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool", "lam-bool", "lam-string",
-        "rel_tol-string", "sr-bool", "nl-bool", "theta-bool", "theta-string", "eta-bool",
-        "eta-string", "rel_threshold-string", "estimate-rel_threshold-string", "xi-bool",
-        "xi-string", "t_svt-tau-bool", "t_svt-tau-string", "success_threshold-string",
-        "success_threshold-none", "lrtc-zero-extent", "trpca-zero-extent",
+        "rank-negative", "theta-nan", "theta-inf", "beta-subnormal", "trpca-tau-huge",
+        "tau-bool", "p_max-bool", "rel_tol-bool", "trpca-p_max-numpy-bool", "lam-bool",
+        "lam-string", "rel_tol-string", "sr-bool", "nl-bool", "theta-bool", "theta-string",
+        "eta-bool", "eta-string", "rel_threshold-string", "estimate-rel_threshold-string",
+        "xi-bool", "xi-string", "t_svt-tau-bool", "t_svt-tau-string",
+        "success_threshold-string", "success_threshold-none", "lrtc-zero-extent",
+        "trpca-zero-extent", "identity-float-extent", "identity-bool-extent",
+        "identity-numpy-float-extent",
     ])
     def test_nonfinite_setting_rejected(self, check):
         with pytest.raises(ValueError):

@@ -5,20 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_j, random_tensor
+from wstnn import ntubal, solvers, synth
 from wstnn import tensor_ops as top
-
-
-def brute_force_j(indices, shape, skip):
-    """0-based flat index over the modes not in ``skip`` (1-based mode ids),
-    first surviving mode fastest."""
-    j = 0
-    stride = 1
-    for mode, (i, n) in enumerate(zip(indices, shape), start=1):
-        if mode in skip:
-            continue
-        j += i * stride
-        stride *= n
-    return j
 
 
 def assert_index_map(x, unfolded, lead):
@@ -30,10 +19,6 @@ def assert_index_map(x, unfolded, lead):
 
 
 shapes = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5)
-
-
-def random_tensor(shape, seed=0):
-    return np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestVectorize:
@@ -244,3 +229,44 @@ class TestNorms:
         x = np.ones(4)
         x[2] = bad
         np.testing.assert_equal(top.frobenius_norm(x), expected)
+
+
+def _uniform(shape):
+    n = ntubal.pair_count(len(shape))
+    return np.full(n, 1.0 / n)
+
+
+# every N-way entry point applies one shape rule (order >= 3, positive
+# integer extents); the two that take a tensor see only an ndarray's
+# shape, whose extents are nonnegative integers, so they get the order
+# and zero-extent cases
+SHAPE_ENTRY_POINTS = {
+    "cpspec": lambda shape: synth.CpSpec(shape, 1),
+    "validated": lambda shape: solvers.TrpcaConfig(alpha=_uniform(shape)).validated(shape),
+    "default_lambda": lambda shape: solvers.default_lambda(shape, _uniform(shape)),
+    "weights_rank_aware": lambda shape: ntubal.weights_rank_aware(
+        shape, np.zeros(ntubal.pair_count(len(shape)))),
+}
+TENSOR_ENTRY_POINTS = {
+    "estimate_n_tubal_rank": lambda shape: ntubal.estimate_n_tubal_rank(np.ones(shape)),
+    "wstnn": lambda shape: ntubal.wstnn(np.ones(shape), _uniform(shape)),
+}
+BAD_SHAPES = {
+    "order-2": ((4, 5), "an N-way tensor has order >= 3"),
+    "zero-extent": ((3, 0, 3), "extents must be positive"),
+    "negative-extent": ((3, -2, 3), "extents must be positive"),
+    "float-extent": ((3, 4.5, 3), "extents must be integers"),
+    "bool-extent": ((3, True, 3), "extents must be integers"),
+}
+SHAPE_RULE_CASES = [
+    pytest.param(call, *BAD_SHAPES[case], id=f"{name}-{case}")
+    for points, cases in [(SHAPE_ENTRY_POINTS, BAD_SHAPES),
+                          (TENSOR_ENTRY_POINTS, ["order-2", "zero-extent"])]
+    for name, call in points.items() for case in cases
+]
+
+
+@pytest.mark.parametrize("call, shape, message", SHAPE_RULE_CASES)
+def test_nway_shape_rule(call, shape, message):
+    with pytest.raises(ValueError, match=message):
+        call(shape)

@@ -1,35 +1,15 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import random_tensor, small_shapes, traced_peak
 from wstnn import tsvd
 from wstnn.tensor_ops import frobenius_norm
 
 # relative bound of the half-spectrum code against the full-FFT references
 REL = 1e-12
-
-
-def random_tensor(shape, seed=0):
-    return np.random.default_rng(seed).standard_normal(shape)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-small_shapes = st.tuples(
-    st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
-)
 
 
 class TestDft:
