@@ -135,10 +135,10 @@ def add_salt_pepper(
     ``x`` (equal probability each)."""
     _check_noise_level(nl)
     x = np.asarray(x, dtype=np.float64)
-    if nl == 0.0:
-        return x.copy()
     numel = x.size
     n_bad = int(round(nl * numel))
+    if n_bad == 0:
+        return x.copy()
     rng = np.random.default_rng(seed)
     idx = rng.choice(numel, size=n_bad, replace=False)
     values = np.where(rng.random(n_bad) < 0.5, x.min(), x.max())

@@ -8,6 +8,10 @@ frontal slices.
 
 DFT convention: unnormalized forward transform, 1/n_3 on the inverse.
 
+Shape rule: every function that takes a tensor requires order 3 and at
+least one frontal slice (n3 >= 1), and raises one ``ValueError`` naming
+the shape otherwise. A zero n1 or n2 is a valid, empty t-SVD.
+
 Half spectrum: the tubes of a real tensor have conjugate-symmetric
 spectra, so Fourier slice ``n3 - i`` is the complex conjugate of slice
 ``i``. :func:`t_product`, :func:`t_svd` and :func:`fourier_singular_values`
@@ -85,9 +89,10 @@ class TSvdFactors(NamedTuple):
 
 
 def _require_3way(x: np.ndarray) -> np.ndarray:
+    """``x`` as an array under the module's shape rule: order 3, n3 >= 1."""
     x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError(f"expected a three-way tensor, got order {x.ndim}")
+    if x.ndim != 3 or x.shape[2] < 1:
+        raise ValueError(f"expected a three-way tensor with n3 >= 1, got shape {x.shape}")
     return x
 
 
@@ -270,7 +275,7 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     most ``min(eps * sigma_max / tau, sqrt(eps))`` (``eps`` the float64
     machine epsilon, ``sigma_max`` the largest Fourier singular value), so
     1e-12 or better for ``tau >= 1e-3 * sigma_max``. At ``tau = 0`` the
-    result is ``z`` to rounding.
+    result is ``z`` to rounding. An empty ``z`` (n1 or n2 zero) gives zeros.
 
     One function, ``_gram_shrink``, shrinks ``SVT_BLOCK`` slices at a time,
     and each shrunk block is written back into the one spectrum buffer.
@@ -284,6 +289,8 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     if not (_is_real(tau) and tau >= 0):
         raise ValueError("threshold tau must be nonnegative")
     z = _require_3way(z)
+    if z.size == 0:
+        return np.zeros(z.shape)
     ref_norm = frobenius_norm(z)
     spectrum = dft_tubes(z)
     stack = np.moveaxis(spectrum, 2, 0)

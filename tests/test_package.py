@@ -2,8 +2,12 @@
 the package's top level re-exports whole."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +40,18 @@ def test_top_level_names_declared():
     submodules = {info.name for info in pkgutil.iter_modules(wstnn.__path__)}
     public = [name for name in vars(wstnn) if not name.startswith("_")]
     assert [name for name in public if name not in declared | submodules] == []
+
+
+def test_import_loads_only_numpy_beyond_stdlib():
+    # numpy is the one declared runtime dependency; an undeclared import
+    # (scipy, say) that happens to be installed here would fail only where
+    # numpy alone is installed
+    code = (
+        "import sys; before = set(sys.modules); import wstnn; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = Path(wstnn.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "wstnn" in out and "numpy" in out
+    assert [m for m in out if m not in sys.stdlib_module_names | {"numpy", "wstnn"}] == []

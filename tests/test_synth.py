@@ -133,9 +133,12 @@ class TestSaltPepper:
         assert changed.sum() <= round(0.2 * x.size)
         assert np.isin(noisy[changed], [x.min(), x.max()]).all()
 
-    def test_zero_level_is_copy(self):
-        x = np.random.default_rng(3).standard_normal((5, 5, 5))
-        noisy = synth.add_salt_pepper(x, 0.0, seed=0)
+    # no entry to corrupt: a zero level, or an empty tensor at any level
+    @pytest.mark.parametrize("shape, nl", [((5, 5, 5), 0.0), ((3, 0, 3), 0.1)],
+                             ids=["zero-level", "empty"])
+    def test_no_corrupted_entry_is_copy(self, shape, nl):
+        x = np.random.default_rng(3).standard_normal(shape)
+        noisy = synth.add_salt_pepper(x, nl, seed=0)
         np.testing.assert_array_equal(noisy, x)
         assert noisy is not x
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,50 @@ class TestDft:
     def test_requires_three_way(self):
         with pytest.raises(ValueError):
             tsvd.dft_tubes(np.zeros((2, 2)))
+
+
+def other_operand(x, shape):
+    # a zero t-product operand of the given n1 x n2 shape that matches x's
+    # slices, with one slice where x has none, so that only x breaks the rule
+    return np.zeros(shape + (max(x.shape[2], 1),))
+
+
+# every entry point that takes a tensor, and its result on an empty
+# n1 x n2 x n3 input (arrays by their shapes)
+EMPTY_RESULTS = {
+    "dft_tubes": (tsvd.dft_tubes, lambda n1, n2, n3: (n1, n2, n3)),
+    "idft_tubes": (tsvd.idft_tubes, lambda n1, n2, n3: (n1, n2, n3)),
+    "conj_transpose": (tsvd.conj_transpose, lambda n1, n2, n3: (n2, n1, n3)),
+    "t_product-left": (lambda x: tsvd.t_product(x, other_operand(x, (x.shape[1], 2))),
+                       lambda n1, n2, n3: (n1, 2, n3)),
+    "t_product-right": (lambda x: tsvd.t_product(other_operand(x, (2, x.shape[0])), x),
+                        lambda n1, n2, n3: (2, n2, n3)),
+    "t_svd": (tsvd.t_svd, lambda n1, n2, n3: ((n1, n1, n3), (n1, n2, n3), (n2, n2, n3))),
+    "fourier_singular_values": (tsvd.fourier_singular_values, lambda n1, n2, n3: (n3, 0)),
+    "tubal_rank": (tsvd.tubal_rank, lambda n1, n2, n3: 0),
+    "tnn": (tsvd.tnn, lambda n1, n2, n3: 0.0),
+    "t_svt": (lambda x: tsvd.t_svt(x, 1.0), lambda n1, n2, n3: (n1, n2, n3)),
+}
+
+
+def shapes_of(result):
+    if isinstance(result, tuple):
+        return tuple(shapes_of(r) for r in result)
+    return result.shape if isinstance(result, np.ndarray) else result
+
+
+# the shape rule: no frontal slice is a ValueError that names the shape,
+# while a zero n1 or n2 is an empty t-SVD with a defined result
+@pytest.mark.parametrize("shape", [(3, 4, 0), (0, 4, 3), (3, 0, 4)], ids=["n3=0", "n1=0", "n2=0"])
+@pytest.mark.parametrize("name", EMPTY_RESULTS)
+def test_shape_rule_on_empty_extents(name, shape):
+    call, result = EMPTY_RESULTS[name]
+    x = np.zeros(shape)
+    if shape[2] == 0:
+        with pytest.raises(ValueError, match=re.escape(f"n3 >= 1, got shape {shape}")):
+            call(x)
+    else:
+        assert shapes_of(call(x)) == result(*shape)
 
 
 class TestConjTranspose:
