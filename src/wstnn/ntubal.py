@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .tensor_ops import _is_real, _nway_shape, mode_k1k2_unfold, mode_pairs
+from .tensor_ops import _is_real, _nway_shape, _real_tensor, mode_k1k2_unfold, mode_pairs
 from .tsvd import tnn, tubal_rank
 
 __all__ = [
@@ -31,7 +31,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def pair_count(ndim: int) -> int:
-    return ndim * (ndim - 1) // 2
+    return len(mode_pairs(ndim))
 
 
 def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
@@ -51,7 +51,7 @@ def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
 def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndarray:
     """N-tubal rank: the :func:`~wstnn.tsvd.tubal_rank` of every mode-pair
     unfolding, at relative threshold ``rel_threshold``."""
-    x = np.asarray(x)
+    x = _real_tensor(x)
     _nway_shape(x.shape)
     return np.array(
         [tubal_rank(mode_k1k2_unfold(x, p), rel_threshold) for p in mode_pairs(x.ndim)],
@@ -61,7 +61,7 @@ def estimate_n_tubal_rank(x: np.ndarray, rel_threshold: float = 0.01) -> np.ndar
 
 def wstnn(x: np.ndarray, alpha: np.ndarray) -> float:
     """Weighted sum of the tnn of each mode-pair unfolding: the completion objective."""
-    x = np.asarray(x)
+    x = _real_tensor(x)
     alpha = validate_weights(alpha, len(_nway_shape(x.shape)))
     return float(
         sum(

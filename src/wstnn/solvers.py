@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .ntubal import validate_weights, weights_uniform
-from .tensor_ops import (_is_int, _is_real, _nway_shape, frobenius_norm,
+from .tensor_ops import (_is_int, _is_real, _nway_shape, _real_tensor, frobenius_norm,
                          mode_k1k2_fold, mode_k1k2_unfold, mode_pairs)
 from .tsvd import t_svt
 
@@ -242,7 +242,7 @@ def lrtc_solve(
     of the per-pair thresholded estimates.
     """
     start = time.perf_counter()
-    f = np.asarray(f, dtype=np.float64)
+    f = _real_tensor(f)
     omega = np.asarray(omega, dtype=bool)
     if omega.shape != f.shape:
         raise ValueError("mask shape does not match data shape")
@@ -268,7 +268,7 @@ def trpca_solve(
     ``x``, and the solve reads ``converged`` only once it is below ``rel_tol``.
     """
     start = time.perf_counter()
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_tensor(x)
     if not np.isfinite(x).all():
         raise ValueError("input tensor must be finite")
     cfg = cfg.validated(x.shape)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
-from .tensor_ops import _is_int, _is_real, _nway_shape, frobenius_norm, mode_pairs
+from .tensor_ops import _is_int, _is_real, _nway_shape, _real_tensor, frobenius_norm, mode_pairs
 
 __all__ = [
     "CpSpec",
@@ -134,7 +134,7 @@ def add_salt_pepper(
     """Replace a fraction ``nl`` of entries with the min or max value of
     ``x`` (equal probability each)."""
     _check_noise_level(nl)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_tensor(x)
     numel = x.size
     n_bad = int(round(nl * numel))
     if n_bad == 0:
@@ -149,7 +149,7 @@ def add_salt_pepper(
 
 def rse(xhat: np.ndarray, x: np.ndarray) -> float:
     """Relative square error ||xhat - x||_F^2 / ||x||_F^2."""
-    xhat, x = np.asarray(xhat), np.asarray(x)
+    xhat, x = _real_tensor(xhat), _real_tensor(x)
     if xhat.shape != x.shape:
         raise ValueError("shape mismatch")
     denom = frobenius_norm(x)
@@ -254,13 +254,15 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     order, and gives an ``error`` record with an empty report. Any other
     exception is a programming error: the pending trials are cancelled and
     the exception propagates. A bad setting raises ``ValueError`` before any
-    trial runs: a shape, grid rank or level that the task's generator or
-    corruption operator rejects, or a config template of the wrong class or
-    that fails its ``validated(shape)``. With no template, trials run the
-    config's defaults.
+    trial runs: a ``base_seed`` that is not a nonnegative integer, a shape,
+    grid rank or level that the task's generator or corruption operator
+    rejects, or a config template of the wrong class or that fails its
+    ``validated(shape)``. With no template, trials run the config's defaults.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
+    if not (_is_int(base_seed) and base_seed >= 0):
+        raise ValueError(f"base_seed must be a nonnegative integer, got {base_seed!r}")
     for rank in grid.ranks:
         CpSpec(shape, rank)
     check_level, config_cls = ((_check_sampling_rate, LrtcConfig) if task == "complete"

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor_ops import _real_tensor
+
 __all__ = ["MAGIC", "TensorFormatError", "read_tensor", "write_tensor"]
 
 MAGIC = b"NTUB1\x00"
@@ -34,7 +36,7 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path: str | Path, x: np.ndarray) -> None:
-    x = np.asarray(x, dtype="<f8")
+    x = np.asarray(_real_tensor(x), dtype="<f8")
     if x.ndim < 1 or 0 in x.shape:
         raise ValueError("tensor must have at least one mode and no zero extents")
     with open(path, "wb") as fh:

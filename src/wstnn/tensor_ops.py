@@ -1,16 +1,19 @@
 """Dense N-way tensor layout primitives.
 
-All tensors are float64 numpy arrays. The flat storage convention is
-column-major (first index varies fastest), so ``vectorize`` is
-``ravel(order="F")`` and the linear offset of element (i_1, ..., i_N)
-(1-based) is j - 1 with
+The flat storage convention is column-major (first index varies
+fastest), so ``vectorize`` is ``ravel(order="F")`` and the linear offset
+of element (i_1, ..., i_N) (1-based) is j - 1 with
 
     j = i_1 + sum_{s>=2} (i_s - 1) * n_1 * ... * n_{s-1}.
 
 Mode indices and mode pairs are 1-based throughout the public API.
 ``_is_real`` and ``_is_int`` state the package's number rule: a setting
 is a real number (an integer for a count, mode or extent), never a bool,
-and ``_nway_shape`` the N-way shape rule: order >= 3, positive integer extents.
+``_nway_shape`` the N-way shape rule: order >= 3, positive integer extents,
+and ``_real_tensor`` the element rule: bool, integer or floating entries,
+computed on in float64; a complex tensor is a ValueError. Every entry point
+that takes a tensor applies it but ``tsvd.idft_tubes`` (a complex
+spectrum) and the unfoldings, folds and ``frobenius_norm`` (dtype-keeping).
 
 One layout rule gives every unfolding: the lead modes first, then the
 remaining modes in ascending order, flattened column-major into one last
@@ -62,6 +65,14 @@ def _nway_shape(shape) -> tuple[int, ...]:
     return tuple(int(n) for n in shape)
 
 
+def _real_tensor(x) -> np.ndarray:
+    """``x`` as float64 under the element rule (a float64 array as is, no copy)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"a tensor has bool, integer or floating entries, got dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
 def _axes(modes, ndim: int, lead: int) -> list[int]:
     """0-based axis order of an unfolding: the ``lead`` 1-based ``modes``,
     which must be integers increasing within 1..ndim, then the rest."""
@@ -100,7 +111,7 @@ def _fold(y: np.ndarray, modes, lead: int, shape: tuple[int, ...]) -> np.ndarray
 def vectorize(x: np.ndarray) -> np.ndarray:
     """Column-major flattening of an N-way tensor, as float64; like
     ``ravel(order="F")``, a view only of a Fortran-contiguous input."""
-    return _unfold(np.asfortranarray(x, dtype=np.float64), (), 0)
+    return _unfold(np.asfortranarray(_real_tensor(x)), (), 0)
 
 
 def mode_k_unfold(x: np.ndarray, k: int) -> np.ndarray:
@@ -115,6 +126,8 @@ def mode_k_fold(m: np.ndarray, k: int, shape: tuple[int, ...]) -> np.ndarray:
 
 def mode_pairs(ndim: int) -> list[tuple[int, int]]:
     """All mode pairs (k1, k2) with k1 < k2, in lexicographic order."""
+    if not _is_int(ndim):
+        raise ValueError(f"an order is an integer, got {ndim!r}")
     return list(combinations(range(1, ndim + 1), 2))
 
 

@@ -10,7 +10,8 @@ DFT convention: unnormalized forward transform, 1/n_3 on the inverse.
 
 Shape rule: every function that takes a tensor requires order 3 and at
 least one frontal slice (n3 >= 1), and raises one ``ValueError`` naming
-the shape otherwise. A zero n1 or n2 is a valid, empty t-SVD.
+the shape otherwise. A zero n1 or n2 is a valid, empty t-SVD. All but
+:func:`idft_tubes` (a complex spectrum) apply the package's element rule.
 
 Half spectrum: the tubes of a real tensor have conjugate-symmetric
 spectra, so Fourier slice ``n3 - i`` is the complex conjugate of slice
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _is_int, _is_real, frobenius_norm
+from .tensor_ops import _is_int, _is_real, _real_tensor, frobenius_norm
 
 __all__ = [
     "NumericError",
@@ -88,9 +89,10 @@ class TSvdFactors(NamedTuple):
     v: np.ndarray  # n2 x n2 x n3, orthogonal under the t-product
 
 
-def _require_3way(x: np.ndarray) -> np.ndarray:
-    """``x`` as an array under the module's shape rule: order 3, n3 >= 1."""
-    x = np.asarray(x)
+def _require_3way(x: np.ndarray, real: bool = True) -> np.ndarray:
+    """``x`` under the module's shape rule (order 3, n3 >= 1), and under the
+    element rule unless it is a spectrum (``real`` False)."""
+    x = _real_tensor(x) if real else np.asarray(x)
     if x.ndim != 3 or x.shape[2] < 1:
         raise ValueError(f"expected a three-way tensor with n3 >= 1, got shape {x.shape}")
     return x
@@ -103,7 +105,7 @@ def dft_tubes(x: np.ndarray) -> np.ndarray:
 
 def idft_tubes(y: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft_tubes` (includes the 1/n_3 scaling); complex."""
-    return np.fft.ifft(_require_3way(y), axis=2)
+    return np.fft.ifft(_require_3way(y, real=False), axis=2)
 
 
 def _check_residue(resid: float, ref_norm: float) -> None:

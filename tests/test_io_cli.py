@@ -278,6 +278,16 @@ class TestCli:
         assert "cp_rank 20" in err and "(15, 15, 15)" in err
         assert not out.exists()
 
+    def test_sweep_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main([
+            "sweep", "--task", "complete", "--shape", "5,5,5", "--ranks", "1",
+            "--levels", "0.5", "--trials", "1", "--seed", "-1", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: base_seed must be") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_tsvd_factors_reconstruct(self, tmp_path):
         from wstnn.tsvd import conj_transpose, t_product
 

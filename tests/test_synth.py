@@ -275,6 +275,14 @@ class TestPhaseSweep:
             synth.phase_sweep(grid, task, shape, config_template=cfg)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("base_seed", [1.5, -1, True], ids=repr)
+    def test_bad_base_seed_rejected_before_any_trial(self, monkeypatch, tmp_path, base_seed):
+        monkeypatch.setattr(synth, "CpSpec", self._marking_spec(tmp_path))
+        grid = synth.PhaseGrid(ranks=[1], levels=[0.5], trials=2)
+        with pytest.raises(ValueError, match="^base_seed must be a nonnegative integer"):
+            synth.phase_sweep(grid, "complete", (5, 5, 5), base_seed=base_seed)
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             synth.PhaseGrid(ranks=[])

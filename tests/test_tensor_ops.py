@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_j, random_tensor
-from wstnn import ntubal, solvers, synth
+from wstnn import ntubal, solvers, synth, tensor_io, tsvd
 from wstnn import tensor_ops as top
 
 
@@ -108,6 +108,11 @@ class TestModeKUnfold:
 class TestModePairs:
     def test_lexicographic(self):
         assert top.mode_pairs(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+    @pytest.mark.parametrize("order", [3.5, 3.0, True, "3"], ids=repr)
+    def test_order_must_be_integer(self, order):
+        with pytest.raises(ValueError, match="an order is an integer"):
+            top.mode_pairs(order)
 
 
 class TestModeK1K2:
@@ -270,3 +275,90 @@ SHAPE_RULE_CASES = [
 def test_nway_shape_rule(call, shape, message):
     with pytest.raises(ValueError, match=message):
         call(shape)
+
+
+def _rank2_integer_draw(n=20):
+    # small-integer entries, which float16, float32 and int16 hold exactly,
+    # so the draw's tubal rank is 2 in each of them
+    rng = np.random.default_rng(0)
+    factors = [rng.integers(-2, 3, size=(n, 2)) for _ in range(3)]
+    return np.einsum("ir,jr,kr->ijk", *factors).astype(np.float64)
+
+
+def _write_tensor(x, tmp_path):
+    path = tmp_path / "x.ntb"
+    tensor_io.write_tensor(path, x)
+    return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+
+
+_MASK = synth.sample_mask((20, 20, 20), 0.5, 1)
+
+# every entry point that takes a tensor, called on one 20^3 tensor x; a
+# t_product takes x once on each side, so each operand is checked
+ELEMENT_ENTRY_POINTS = {
+    "dft_tubes": lambda x, _: tsvd.dft_tubes(x),
+    "conj_transpose": lambda x, _: tsvd.conj_transpose(x),
+    "t_product-left": lambda x, _: tsvd.t_product(x, tsvd.identity_tensor(20, 20)),
+    "t_product-right": lambda x, _: tsvd.t_product(tsvd.identity_tensor(20, 20), x),
+    "t_svd": lambda x, _: tsvd.t_svd(x),
+    "fourier_singular_values": lambda x, _: tsvd.fourier_singular_values(x),
+    "tubal_rank": lambda x, _: tsvd.tubal_rank(x),
+    "tnn": lambda x, _: tsvd.tnn(x),
+    "t_svt": lambda x, _: tsvd.t_svt(x, 1.0),
+    "estimate_n_tubal_rank": lambda x, _: ntubal.estimate_n_tubal_rank(x),
+    "wstnn": lambda x, _: ntubal.wstnn(x, ntubal.weights_uniform(3)),
+    "rse": lambda x, _: synth.rse(x, x[::-1]),
+    "lrtc_solve": lambda x, _: solvers.lrtc_solve(x, _MASK, solvers.LrtcConfig(p_max=2)),
+    "trpca_solve": lambda x, _: solvers.trpca_solve(x, solvers.TrpcaConfig(p_max=2)),
+    "add_salt_pepper": lambda x, _: synth.add_salt_pepper(x, 0.1, 2),
+    "write_tensor": _write_tensor,
+    "vectorize": lambda x, _: top.vectorize(x),
+}
+
+
+def _arrays(result):
+    """A call's result as a flat list of arrays, a solve report as its trace."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in _arrays(part)]
+    if isinstance(result, solvers.SolveReport):
+        return [np.array(result.rel_change_trace)]
+    return [np.asarray(result)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int16, np.bool_, np.longdouble],
+                         ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", ELEMENT_ENTRY_POINTS)
+def test_element_rule_computes_in_float64(name, dtype, tmp_path):
+    call = ELEMENT_ENTRY_POINTS[name]
+    x = _rank2_integer_draw().astype(dtype)
+    expected = _arrays(call(x.astype(np.float64), tmp_path))
+    actual = _arrays(call(x, tmp_path))
+    assert [a.dtype for a in actual] == [e.dtype for e in expected]
+    assert [a.tobytes() for a in actual] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("name", ELEMENT_ENTRY_POINTS)
+def test_element_rule_rejects_complex(name, tmp_path):
+    x = _rank2_integer_draw().astype(np.complex128)
+    with warnings.catch_warnings():
+        # a ComplexWarning (a cast that drops the imaginary part) fails here
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got dtype complex128"):
+            ELEMENT_ENTRY_POINTS[name](x, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_element_rule_float64_input_is_not_copied():
+    x = np.ones((2, 3, 4))
+    assert top._real_tensor(x) is x
+
+
+@pytest.mark.parametrize("dtype", ["<M8[s]", "<m8[s]", "U3", object])
+def test_element_rule_rejects_non_numeric_dtypes(dtype):
+    with pytest.raises(ValueError, match="got dtype"):
+        top._real_tensor(np.zeros((2, 2, 2), dtype=dtype))
+
+
+def test_idft_tubes_takes_a_complex_spectrum():
+    x = _rank2_integer_draw()
+    np.testing.assert_allclose(tsvd.idft_tubes(tsvd.dft_tubes(x)).real, x, atol=1e-12)
