@@ -8,7 +8,8 @@ Subcommands:
   sweep     synthetic phase-transition sweep, success rates to CSV
   tsvd      write the t-SVD factors of a three-way tensor to files
 
-Every run prints its fully resolved configuration for reproducibility.
+Every run prints its own settings, then every field of the resolved
+config objects that run it, for reproducibility.
 The exit code is 0 on success, 1 with one ``error:`` line when the library
 or a file operation rejects the run, and 2 with argparse's usage message
 when the command line is malformed.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import sys
 
@@ -27,6 +29,9 @@ from . import ntubal, synth, tensor_io
 from .solvers import LrtcConfig, SolveReport, TrpcaConfig, lrtc_solve, trpca_solve
 from .tensor_ops import mode_k_unfold, mode_pairs
 from .tsvd import t_svd, tubal_rank
+
+#: each task's solver config, named here only
+_CONFIGS = {"complete": LrtcConfig, "rpca": TrpcaConfig}
 
 
 def _comma_list(convert):
@@ -44,14 +49,17 @@ def _auto_or_float(text: str) -> float | None:
 _auto_or_float.__name__ = "auto-or-float"
 
 
-def _weights(args, x: np.ndarray) -> np.ndarray | None:
-    """The --weights vector; None (uniform) is left to the config."""
+def _solver_config(args, x: np.ndarray, **settings):
+    """The resolved config of this ``complete`` or ``rpca`` run on ``x``;
+    --weights uniform leaves ``alpha=None`` to the config."""
+    alpha = None
     if args.weights == "rank-aware":
         rank = ntubal.estimate_n_tubal_rank(x, args.threshold)
-        return ntubal.weights_rank_aware(x.shape, rank, args.eta)
-    if args.weights == "spectral":
-        return ntubal.weights_spectral(args.theta)
-    return None
+        alpha = ntubal.weights_rank_aware(x.shape, rank, args.eta)
+    elif args.weights == "spectral":
+        alpha = ntubal.weights_spectral(args.theta)
+    return _CONFIGS[args.command](alpha=alpha, tau=args.tau, p_max=args.max_iter,
+                                  rel_tol=args.rel_tol, **settings).validated(x.shape)
 
 
 def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> int:
@@ -70,12 +78,16 @@ def _finish_solve(args, report: SolveReport, verb: str, residual: str = "") -> i
     return 0
 
 
-def _print_config(name: str, items: dict) -> None:
+def _print_config(name: str, items: dict, *objects) -> None:
+    """Print a run's own settings, then every field of each dataclass that
+    runs it; a solver config adds its ``gamma`` and ``rho``."""
+    for obj in objects:
+        items = items | {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, tuple(_CONFIGS.values())):
+            items |= {"gamma": obj.gamma, "rho": obj.rho}
     print(f"[{name}] resolved configuration:")
     for key, value in items.items():
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        print(f"  {key} = {value}")
+        print(f"  {key} = {value.tolist() if isinstance(value, np.ndarray) else value}")
 
 
 def _cmd_complete(args) -> int:
@@ -89,14 +101,9 @@ def _cmd_complete(args) -> int:
         omega = synth.sample_mask(f.shape, args.sr, args.seed)
     # entries off the mask are unobserved, to the rank estimate as well
     f = np.where(omega, f, 0.0)
-    cfg = LrtcConfig(alpha=_weights(args, f), tau=args.tau, p_max=args.max_iter,
-                     rel_tol=args.rel_tol).validated(f.shape)
-    _print_config("complete", {
-        "input": args.input, "shape": f.shape, "weights": args.weights,
-        "alpha": cfg.alpha, "tau": cfg.tau, "gamma": cfg.gamma,
-        "p_max": cfg.p_max, "rel_tol": cfg.rel_tol,
-        "sr": args.sr, "mask": args.mask, "seed": args.seed,
-    })
+    cfg = _solver_config(args, f)
+    _print_config("complete", {"input": args.input, "shape": f.shape, "weights": args.weights,
+                               "sr": args.sr, "mask": args.mask, "seed": args.seed}, cfg)
     x, report = lrtc_solve(f, omega, cfg)
     tensor_io.write_tensor(args.out, x)
     return _finish_solve(args, report, "completed")
@@ -104,13 +111,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_rpca(args) -> int:
     x = tensor_io.read_tensor(args.input)
-    cfg = TrpcaConfig(alpha=_weights(args, x), tau=args.tau, lam=args.lam,
-                      p_max=args.max_iter, rel_tol=args.rel_tol).validated(x.shape)
-    _print_config("rpca", {
-        "input": args.input, "shape": x.shape, "weights": args.weights,
-        "alpha": cfg.alpha, "tau": cfg.tau, "lambda": cfg.lam, "rho": cfg.rho,
-        "gamma": cfg.gamma, "p_max": cfg.p_max, "rel_tol": cfg.rel_tol,
-    })
+    cfg = _solver_config(args, x, lam=args.lam)
+    _print_config("rpca", {"input": args.input, "shape": x.shape, "weights": args.weights}, cfg)
     low, sparse, report = trpca_solve(x, cfg)
     tensor_io.write_tensor(args.out_low, low)
     tensor_io.write_tensor(args.out_sparse, sparse)
@@ -120,9 +122,7 @@ def _cmd_rpca(args) -> int:
 
 def _cmd_rank(args) -> int:
     x = tensor_io.read_tensor(args.input)
-    _print_config("rank", {
-        "input": args.input, "shape": x.shape, "threshold": args.threshold,
-    })
+    _print_config("rank", {"input": args.input, "shape": x.shape, "threshold": args.threshold})
     n_tubal = ntubal.estimate_n_tubal_rank(x, args.threshold)
     tucker = [tubal_rank(mode_k_unfold(x, k)[:, :, None], args.threshold)
               for k in range(1, x.ndim + 1)]
@@ -137,13 +137,10 @@ def _cmd_sweep(args) -> int:
     shape = tuple(args.shape)
     grid = synth.PhaseGrid(ranks=args.ranks, levels=args.levels, trials=args.trials,
                            success_threshold=args.success_threshold)
-    _print_config("sweep", {
-        "task": args.task, "shape": shape, "ranks": grid.ranks,
-        "levels": grid.levels, "trials": grid.trials,
-        "success_threshold": grid.success_threshold, "seed": args.seed,
-        "out": args.out,
-    })
-    rows = synth.phase_sweep(grid, args.task, shape, base_seed=args.seed)
+    cfg = _CONFIGS[args.task]().validated(shape)
+    _print_config("sweep", {"task": args.task, "shape": shape, "seed": args.seed,
+                            "out": args.out}, grid, cfg)
+    rows = synth.phase_sweep(grid, args.task, shape, args.seed, cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -179,9 +176,10 @@ def _add_threshold_arg(parser) -> None:
                         help="relative singular-value threshold for rank estimation")
 
 
-def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> None:
-    """Weight, threshold and stopping options; the solver defaults are
-    those of ``config``, the rank-aware ones those of :mod:`wstnn.ntubal`."""
+def _add_solver_args(parser, command: str) -> None:
+    """Weight, threshold, stopping and --report options; the solver defaults
+    are those of the command's config, the rank-aware ones :mod:`wstnn.ntubal`'s."""
+    config = _CONFIGS[command]
     parser.add_argument("--weights", default="uniform",
                         choices=["uniform", "rank-aware", "spectral"],
                         help="weight strategy over mode pairs")
@@ -197,6 +195,7 @@ def _add_solver_args(parser, config: type[LrtcConfig] | type[TrpcaConfig]) -> No
                              "scale it with the data")
     parser.add_argument("--max-iter", type=int, default=config.p_max)
     parser.add_argument("--rel-tol", type=float, default=config.rel_tol)
+    parser.add_argument("--report", help="per-iteration relative-change CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     observed.add_argument("--sr", type=float, help="sample a random mask at this rate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output tensor file")
-    p.add_argument("--report", help="per-iteration relative-change CSV")
-    _add_solver_args(p, LrtcConfig)
+    _add_solver_args(p, "complete")
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("rpca", help="robust tensor PCA (low rank + sparse)")
@@ -225,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "of the input's shape and weights")
     p.add_argument("--out-low", required=True)
     p.add_argument("--out-sparse", required=True)
-    p.add_argument("--report", help="per-iteration relative-change CSV")
-    _add_solver_args(p, TrpcaConfig)
+    _add_solver_args(p, "rpca")
     p.set_defaults(func=_cmd_rpca)
 
     p = sub.add_parser("rank", help="print N-tubal and Tucker-style ranks")
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("sweep", help="synthetic phase-transition sweep")
-    p.add_argument("--task", required=True, choices=["complete", "rpca"])
+    p.add_argument("--task", required=True, choices=list(_CONFIGS))
     p.add_argument("--shape", type=_comma_list(int), default="30,30,30")
     grid = synth.PhaseGrid()
     p.add_argument("--ranks", type=_comma_list(int), default=",".join(map(str, grid.ranks)))

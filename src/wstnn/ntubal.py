@@ -16,7 +16,6 @@ from .tensor_ops import _is_real, _nway_shape, _real_tensor, mode_k1k2_unfold, m
 from .tsvd import tnn, tubal_rank
 
 __all__ = [
-    "pair_count",
     "validate_weights",
     "estimate_n_tubal_rank",
     "wstnn",
@@ -30,16 +29,13 @@ logger = logging.getLogger(__name__)
 WEIGHT_SUM_TOL = 1e-12
 
 
-def pair_count(ndim: int) -> int:
-    return len(mode_pairs(ndim))
-
-
 def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (pair_count(ndim),):
+    n_pairs = len(mode_pairs(ndim))
+    if alpha.shape != (n_pairs,):
         raise ValueError(
             f"weight vector of length {alpha.size} does not match order {ndim} "
-            f"(expected {pair_count(ndim)})"
+            f"(expected {n_pairs})"
         )
     if not (np.isfinite(alpha) & (alpha >= 0)).all():
         raise ValueError(f"weights must be finite and nonnegative, got {alpha.tolist()}")
@@ -76,7 +72,8 @@ def weights_uniform(ndim: int) -> np.ndarray:
     """Equal weight on every mode pair (for unknown rank structure)."""
     if ndim < 3:
         raise ValueError("weights require order >= 3")
-    return np.full(pair_count(ndim), 1.0 / pair_count(ndim))
+    n_pairs = len(mode_pairs(ndim))
+    return np.full(n_pairs, 1.0 / n_pairs)
 
 
 def weights_rank_aware(

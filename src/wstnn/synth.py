@@ -258,6 +258,8 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     grid rank or level that the task's generator or corruption operator
     rejects, or a config template of the wrong class or that fails its
     ``validated(shape)``. With no template, trials run the config's defaults.
+    Every trial runs the copy that ``validated(shape)`` resolved, so no
+    trial resolves a default of its own.
     """
     if task not in ("complete", "rpca"):
         raise ValueError(f"unknown task {task!r}")
@@ -272,7 +274,7 @@ def phase_trials(grid: PhaseGrid, task: str, shape: tuple[int, ...], base_seed: 
     cfg = config_cls() if config_template is None else config_template
     if not isinstance(cfg, config_cls):
         raise ValueError(f"task {task!r} takes a {config_cls.__name__} template")
-    cfg.validated(shape)
+    cfg = cfg.validated(shape)
     # imported here: every process that imports wstnn would pay their memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

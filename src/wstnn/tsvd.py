@@ -249,8 +249,14 @@ def fourier_singular_values(x: np.ndarray) -> np.ndarray:
 
 def tubal_rank(x: np.ndarray, rel_threshold: float | None = None) -> int:
     """Largest number of Fourier singular values of one frontal slice that
-    exceed ``rel_threshold`` (in (0, 1), by default ``max(shape) * eps``)
-    times the largest singular value across all slices."""
+    exceed ``rel_threshold`` (in (0, 1)) times the largest singular value
+    across all slices.
+
+    The default, ``max(shape) * eps``, is float64's rounding, whatever type
+    the data arrived in, so the rounding of float32 or uint8 data counts as
+    rank: a float32 cast of ``gen_cp_tensor(CpSpec((20,) * 3, 2, 0))`` reads
+    20, not 2. For such data pass a ``rel_threshold`` above its rounding,
+    or use :func:`~wstnn.ntubal.estimate_n_tubal_rank` (default 0.01)."""
     x = _require_3way(x)
     if rel_threshold is None:
         rel_threshold = max(x.shape) * np.finfo(np.float64).eps

@@ -131,7 +131,7 @@ def run_rank_reproduction():
     rows = []
     all_exact = True
     for shape in [(30, 30, 30), (10, 10, 10, 10)]:
-        n_pairs = ntubal.pair_count(len(shape))
+        n_pairs = len(mode_pairs(len(shape)))
         for r in (1, 3, 5):
             for draw in range(20):
                 seed = np.random.SeedSequence(

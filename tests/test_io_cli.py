@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import inspect
+import io
+import itertools
 import re
 import time
 
@@ -9,6 +11,24 @@ import pytest
 
 from wstnn import cli, ntubal, solvers, synth, tensor_io
 from wstnn.synth import CpSpec, gen_cp_tensor
+
+
+def _config_block(out: str) -> dict:
+    """The ``key = value`` lines of a run's resolved-configuration block."""
+    lines = out.split(" resolved configuration:\n", 1)[1].splitlines()
+    return dict(line[2:].split(" = ", 1)
+                for line in itertools.takewhile(lambda line: line.startswith("  "), lines))
+
+
+def _printed(*objects, **items) -> dict:
+    """What the block should read: ``items``, then every field of each
+    dataclass in ``objects``, a solver config's ``gamma`` and ``rho`` after
+    its fields, every value printed as a list where it is an array."""
+    for obj in objects:
+        items |= {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if hasattr(obj, "rho"):
+            items |= {"gamma": obj.gamma, "rho": obj.rho}
+    return {k: str(v.tolist() if isinstance(v, np.ndarray) else v) for k, v in items.items()}
 
 
 class TestTensorFile:
@@ -103,14 +123,18 @@ class TestTensorFile:
 
 class TestCli:
     # on 12^3 every mode-pair unfolding is a pure permutation; on the
-    # 4-way draw each also merges the two remaining modes
+    # 4-way draw each also merges the two remaining modes. float32 rounding
+    # is signal to tubal_rank's float64 default, which reads the 20^3 cast
+    # as rank 20; the CLI's 0.01 threshold still reads rank 2
     def test_rank_prints_n_tubal(self, tmp_path, capsys):
-        for shape, rank, n_tubal, tucker in [
-            ((12, 12, 12), 5, "5 5 5", "5 5 5"),
-            ((6, 7, 5, 4), 2, "2 2 2 2 2 2", "2 2 2 2"),
+        for shape, rank, dtype, n_tubal, tucker in [
+            ((12, 12, 12), 5, np.float64, "5 5 5", "5 5 5"),
+            ((6, 7, 5, 4), 2, np.float64, "2 2 2 2 2 2", "2 2 2 2"),
+            ((20, 20, 20), 2, np.float32, "2 2 2", "2 2 2"),
         ]:
-            path = tmp_path / f"x{len(shape)}.ntb"
-            tensor_io.write_tensor(path, gen_cp_tensor(CpSpec(shape, rank, seed=0)))
+            path = tmp_path / f"x{len(shape)}-{np.dtype(dtype)}.ntb"
+            x = gen_cp_tensor(CpSpec(shape, rank, seed=0)).astype(dtype)
+            tensor_io.write_tensor(path, x)
             assert cli.main(["rank", "--input", str(path)]) == 0
             out = capsys.readouterr().out
             assert f"N-tubal rank: {n_tubal}\n" in out
@@ -203,7 +227,62 @@ class TestCli:
                          "--out-low", str(tmp_path / "l.ntb"),
                          "--out-sparse", str(tmp_path / "s.ntb")] + argv) == 0
         lam = solvers.default_lambda(x.shape, alpha)
-        assert f"\n  lambda = {lam}\n" in capsys.readouterr().out
+        assert f"\n  lam = {lam}\n" in capsys.readouterr().out
+
+    # the block lists the run's own settings, then every field of the
+    # resolved config that the solve runs, with its gamma and rho
+    @pytest.mark.parametrize("command, argv, settings", [
+        ("complete", ["--sr", "0.5", "--seed", "4", "--out", "o.ntb"],
+         {"sr": 0.5, "mask": None, "seed": 4}),
+        ("rpca", ["--out-low", "l.ntb", "--out-sparse", "s.ntb"], {}),
+    ])
+    def test_solve_prints_every_config_field(self, tmp_path, monkeypatch, capsys,
+                                             command, argv, settings):
+        monkeypatch.chdir(tmp_path)
+        x = gen_cp_tensor(CpSpec((6, 7, 8), 1, seed=0))
+        tensor_io.write_tensor("x.ntb", x)
+        assert cli.main([command, "--input", "x.ntb", "--tau", "3", "--max-iter", "2",
+                         "--weights", "spectral"] + argv) == 0
+        config = {"complete": solvers.LrtcConfig, "rpca": solvers.TrpcaConfig}[command]
+        cfg = config(alpha=ntubal.weights_spectral(), tau=3.0, p_max=2).validated(x.shape)
+        block = _config_block(capsys.readouterr().out)
+        want = _printed(cfg, input="x.ntb", shape=x.shape, weights="spectral", **settings)
+        assert list(block.items()) == list(want.items())
+        assert {"alpha", "tau", "p_max", "rel_tol", "gamma", "rho"} <= block.keys()
+
+    # a sweep prints its grid and the solver config its trials run, the
+    # task config's defaults resolved for the sweep's shape
+    @pytest.mark.parametrize("task, config, level", [
+        ("complete", solvers.LrtcConfig, 0.5), ("rpca", solvers.TrpcaConfig, 0.1),
+    ])
+    def test_sweep_prints_grid_and_solver_config(self, tmp_path, capsys, task, config, level):
+        out = tmp_path / "rates.csv"
+        assert cli.main(["sweep", "--task", task, "--shape", "6,6,6", "--ranks", "1",
+                         "--levels", str(level), "--trials", "1", "--seed", "2",
+                         "--out", str(out)]) == 0
+        grid = synth.PhaseGrid(ranks=[1], levels=[level], trials=1)
+        cfg = config().validated((6, 6, 6))
+        block = _config_block(capsys.readouterr().out)
+        want = _printed(grid, cfg, task=task, shape=(6, 6, 6), seed=2, out=out)
+        assert list(block.items()) == list(want.items())
+        assert (block["tau"], block["p_max"]) == ("10.0", "500")
+        assert ("lam" in block) == (task == "rpca")
+
+    # the CLI's resolved default config is the library's default: its CSV
+    # is that of phase_sweep with no template, byte for byte
+    @pytest.mark.parametrize("task, levels", [("complete", [0.3, 0.7]), ("rpca", [0.05, 0.3])])
+    def test_sweep_csv_is_library_default_sweep(self, tmp_path, task, levels):
+        out = tmp_path / "rates.csv"
+        assert cli.main(["sweep", "--task", task, "--shape", "10,10,10", "--ranks", "1,2",
+                         "--levels", ",".join(map(str, levels)), "--trials", "2",
+                         "--seed", "3", "--out", str(out)]) == 0
+        grid = synth.PhaseGrid(ranks=[1, 2], levels=levels, trials=2)
+        rows = synth.phase_sweep(grid, task, (10, 10, 10), 3)
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        assert out.read_bytes() == buf.getvalue().encode()
 
     def test_sweep_deterministic_csv(self, tmp_path):
         args = [

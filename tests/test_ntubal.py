@@ -9,13 +9,10 @@ from wstnn.tsvd import tnn
 
 
 class TestWeights:
-    def test_pair_count(self):
-        assert [ntubal.pair_count(n) for n in (3, 4, 5)] == [3, 6, 10]
-
     # an order follows the number rule: 3.5 was "order 3.5 with 4 pairs"
     @pytest.mark.parametrize("order", [3.5, True], ids=repr)
     def test_order_must_be_integer(self, order):
-        for call in (ntubal.pair_count, ntubal.weights_uniform,
+        for call in (ntubal.weights_uniform,
                      lambda n: ntubal.validate_weights(np.full(4, 0.25), n)):
             with pytest.raises(ValueError, match="order"):
                 call(order)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wstnn import solvers
-from wstnn.ntubal import pair_count, wstnn
+from wstnn.ntubal import wstnn
 from wstnn.synth import CpSpec, add_salt_pepper, gen_cp_tensor, sample_mask
 from wstnn.tensor_ops import frobenius_norm, mode_pairs
 from wstnn.tsvd import tnn
@@ -35,7 +35,7 @@ def instances(draw, ndims):
     top = {3: 7, 4: 4}.get(ndim, 3)
     shape = tuple(draw(st.lists(st.integers(2, top), min_size=ndim, max_size=ndim)))
     seed = draw(st.integers(0, 2**31))
-    alpha = np.random.default_rng(seed).dirichlet(np.ones(pair_count(ndim)))
+    alpha = np.random.default_rng(seed).dirichlet(np.ones(len(mode_pairs(ndim))))
     return draw(st.sampled_from(["complete", "rpca"])), shape, seed, alpha
 
 
@@ -134,6 +134,6 @@ def test_three_way_norms(shape, seed, data):
 def test_n_way_wstnn(shape, seed, shift):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
-    alpha = rng.dirichlet(np.ones(pair_count(len(shape))))
+    alpha = rng.dirichlet(np.ones(len(mode_pairs(len(shape)))))
     assert _close(wstnn(np.flip(x), alpha), wstnn(x, alpha))
     assert _close(wstnn(np.roll(x, shift, axis=-1), alpha), wstnn(x, alpha))

@@ -371,6 +371,33 @@ class TestPhaseSweep:
         assert (synth.phase_trials(grid, task, shape, 3)
                 == synth.phase_trials(grid, task, shape, 3, explicit))
 
+    # each faked solve sends back the config it was handed in its report's
+    # trace: every trial must get the copy phase_trials resolved, with the
+    # uniform weights as an array and robust PCA's default lambda as a number
+    @pytest.mark.parametrize("task, levels, template", [
+        ("complete", [0.5], None), ("complete", [0.5], solvers.LrtcConfig(tau=3.0)),
+        ("rpca", [0.1], None), ("rpca", [0.1], solvers.TrpcaConfig(tau=3.0)),
+    ], ids=["complete", "complete-template", "rpca", "rpca-template"])
+    def test_every_trial_runs_the_validated_copy(self, monkeypatch, task, levels, template):
+        monkeypatch.setattr(synth, "lrtc_solve", lambda f, omega, cfg: (
+            np.zeros_like(f), SolveReport(rel_change_trace=[cfg])))
+        monkeypatch.setattr(synth, "trpca_solve", lambda x, cfg: (
+            np.zeros_like(x), np.zeros_like(x), SolveReport(rel_change_trace=[cfg])))
+        shape = (5, 5, 5)
+        want = (template or {"complete": solvers.LrtcConfig(),
+                             "rpca": solvers.TrpcaConfig()}[task]).validated(shape)
+        grid = synth.PhaseGrid(ranks=[1, 2], levels=levels, trials=2)
+        records = synth.phase_trials(grid, task, shape, 0, template)
+        assert len(records) == 4
+        for record in records:
+            (cfg,) = record.report.rel_change_trace
+            assert type(cfg.alpha) is np.ndarray
+            np.testing.assert_array_equal(cfg.alpha, want.alpha)
+            assert cfg.tau == want.tau
+            if task == "rpca":
+                assert isinstance(cfg.lam, float) and cfg.lam == want.lam
+        assert template is None or template.alpha is None
+
     def test_errors_match_serial_reference(self, monkeypatch, caplog):
         # each trial's draw seed picks its outcome: a numeric breakdown of
         # either kind, or a constant truth of 2 or 3 that the faked solve

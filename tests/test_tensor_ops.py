@@ -108,6 +108,7 @@ class TestModeKUnfold:
 class TestModePairs:
     def test_lexicographic(self):
         assert top.mode_pairs(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        assert [len(top.mode_pairs(n)) for n in (3, 4, 5)] == [3, 6, 10]
 
     @pytest.mark.parametrize("order", [3.5, 3.0, True, "3"], ids=repr)
     def test_order_must_be_integer(self, order):
@@ -237,7 +238,7 @@ class TestNorms:
 
 
 def _uniform(shape):
-    n = ntubal.pair_count(len(shape))
+    n = len(top.mode_pairs(len(shape)))
     return np.full(n, 1.0 / n)
 
 
@@ -250,7 +251,7 @@ SHAPE_ENTRY_POINTS = {
     "validated": lambda shape: solvers.TrpcaConfig(alpha=_uniform(shape)).validated(shape),
     "default_lambda": lambda shape: solvers.default_lambda(shape, _uniform(shape)),
     "weights_rank_aware": lambda shape: ntubal.weights_rank_aware(
-        shape, np.zeros(ntubal.pair_count(len(shape)))),
+        shape, np.zeros(len(top.mode_pairs(len(shape))))),
 }
 TENSOR_ENTRY_POINTS = {
     "estimate_n_tubal_rank": lambda shape: ntubal.estimate_n_tubal_rank(np.ones(shape)),
