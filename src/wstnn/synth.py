@@ -203,7 +203,7 @@ def _run_trial(task, shape, rank, level, trial, seed, cfg) -> TrialRecord:
     truth = gen_cp_tensor(CpSpec(shape, rank, gen_seed))
     if task == "complete":
         mask = sample_mask(shape, level, corrupt_seed)
-        estimate, report = lrtc_solve(np.where(mask, truth, 0.0), mask, cfg)
+        estimate, report = lrtc_solve(truth, mask, cfg)
     else:
         estimate, _, report = trpca_solve(add_salt_pepper(truth, level, corrupt_seed), cfg)
     return TrialRecord(rank, level, trial, rse(estimate, truth), report)

@@ -12,8 +12,8 @@ is a real number (an integer for a count, mode or extent), never a bool,
 ``_nway_shape`` the N-way shape rule: order >= 3, positive integer extents,
 and ``_real_tensor`` the element rule: bool, integer or floating entries,
 computed on in float64; a complex tensor is a ValueError. Every entry point
-that takes a tensor applies it but ``tsvd.idft_tubes`` (a complex
-spectrum) and the unfoldings, folds and ``frobenius_norm`` (dtype-keeping).
+that takes a tensor applies it but the unfoldings, folds and
+``frobenius_norm`` (dtype-keeping).
 
 One layout rule gives every unfolding: the lead modes first, then the
 remaining modes in ascending order, flattened column-major into one last

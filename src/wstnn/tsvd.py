@@ -10,8 +10,8 @@ DFT convention: unnormalized forward transform, 1/n_3 on the inverse.
 
 Shape rule: every function that takes a tensor requires order 3 and at
 least one frontal slice (n3 >= 1), and raises one ``ValueError`` naming
-the shape otherwise. A zero n1 or n2 is a valid, empty t-SVD. All but
-:func:`idft_tubes` (a complex spectrum) apply the package's element rule.
+the shape otherwise. A zero n1 or n2 is a valid, empty t-SVD. Each also
+applies the package's element rule.
 
 Half spectrum: the tubes of a real tensor have conjugate-symmetric
 spectra, so Fourier slice ``n3 - i`` is the complex conjugate of slice
@@ -40,12 +40,13 @@ largest imaginary part of the full inverse DFT in :func:`t_svt`.
 :func:`t_svt`, the solvers' hot kernel, shrinks each Fourier slice
 through the eigendecomposition of its Gram matrix instead of an SVD (its
 docstring states the accuracy this costs). It transforms the full
-spectrum (:func:`dft_tubes` / :func:`idft_tubes`) and shrinks it in
-place, ``SVT_BLOCK`` slices at a time, in one function, ``_gram_shrink``:
-the shrink's temporaries, not the transforms, set its working set. The
-half spectrum would halve its work, but waits for the benchmark to stop
-counting the outputs of the extra passes a faster solve fits into its
-fixed run as peak memory (ROADMAP item 1).
+spectrum through its internal pair :func:`dft_tubes` / :func:`idft_tubes`
+(not in ``__all__``) and shrinks it in place, ``SVT_BLOCK`` slices at a
+time, in one function, ``_gram_shrink``: the shrink's temporaries, not the
+transforms, set its working set. The half spectrum would halve its work,
+but waits for the benchmark to stop counting the outputs of the extra
+passes a faster solve fits into its fixed run as peak memory (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from .tensor_ops import _is_int, _is_real, _real_tensor, frobenius_norm
 __all__ = [
     "NumericError",
     "TSvdFactors",
-    "dft_tubes",
-    "idft_tubes",
     "identity_tensor",
     "conj_transpose",
     "t_product",
@@ -89,10 +88,9 @@ class TSvdFactors(NamedTuple):
     v: np.ndarray  # n2 x n2 x n3, orthogonal under the t-product
 
 
-def _require_3way(x: np.ndarray, real: bool = True) -> np.ndarray:
-    """``x`` under the module's shape rule (order 3, n3 >= 1), and under the
-    element rule unless it is a spectrum (``real`` False)."""
-    x = _real_tensor(x) if real else np.asarray(x)
+def _require_3way(x: np.ndarray) -> np.ndarray:
+    """``x`` under the module's shape rule (order 3, n3 >= 1) and the element rule."""
+    x = _real_tensor(x)
     if x.ndim != 3 or x.shape[2] < 1:
         raise ValueError(f"expected a three-way tensor with n3 >= 1, got shape {x.shape}")
     return x
@@ -104,8 +102,8 @@ def dft_tubes(x: np.ndarray) -> np.ndarray:
 
 
 def idft_tubes(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft_tubes` (includes the 1/n_3 scaling); complex."""
-    return np.fft.ifft(_require_3way(y, real=False), axis=2)
+    """Inverse of :func:`dft_tubes` on the spectrum it made (1/n_3 scaling); complex."""
+    return np.fft.ifft(y, axis=2)
 
 
 def _check_residue(resid: float, ref_norm: float) -> None:

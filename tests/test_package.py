@@ -55,3 +55,12 @@ def test_import_loads_only_numpy_beyond_stdlib():
                          capture_output=True, text=True, check=True).stdout.split()
     assert "wstnn" in out and "numpy" in out
     assert [m for m in out if m not in sys.stdlib_module_names | {"numpy", "wstnn"}] == []
+
+
+def test_dft_pair_is_internal():
+    # t_svt's full-spectrum transforms are no public API, but stay module
+    # attributes under their names: perfbench/run.py's tracer wraps them
+    names = {"dft_tubes", "idft_tubes"}
+    assert names.isdisjoint(wstnn.tsvd.__all__)
+    assert names.isdisjoint(vars(wstnn))
+    assert all(callable(getattr(wstnn.tsvd, name, None)) for name in names)

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ class TestLrtc:
         cfg = solvers.LrtcConfig(alpha=weights_uniform(3), tau=10.0)
         xhat, _ = solvers.lrtc_solve(np.where(omega, x, 0.0), omega, cfg)
         np.testing.assert_array_equal(xhat[omega], x[omega])
+
+    # the solve reads f only where omega is True: any other value there, a
+    # NaN, an inf or one whose square overflows, gives the same bytes
+    @pytest.mark.parametrize("fill", [0.0, nan, inf, -inf, 1e300])
+    def test_unobserved_entries_are_ignored(self, fill):
+        truth = gen_cp_tensor(CpSpec((10, 12, 14), 2, seed=9))
+        omega = sample_mask(truth.shape, 0.5, seed=10)
+        cfg = solvers.LrtcConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected, expected_report = solvers.lrtc_solve(truth, omega, cfg)
+            xhat, report = solvers.lrtc_solve(np.where(omega, truth, fill), omega, cfg)
+        assert xhat.tobytes() == expected.tobytes()
+        assert report == expected_report
 
     def test_recovers_easy_instance(self):
         x = gen_cp_tensor(CpSpec((20, 20, 20), 2, seed=3))

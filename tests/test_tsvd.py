@@ -60,10 +60,17 @@ def shapes_of(result):
     return result.shape if isinstance(result, np.ndarray) else result
 
 
+EMPTY_SHAPES = {"n3=0": (3, 4, 0), "n1=0": (0, 4, 3), "n2=0": (3, 0, 4)}
+
+
 # the shape rule: no frontal slice is a ValueError that names the shape,
-# while a zero n1 or n2 is an empty t-SVD with a defined result
-@pytest.mark.parametrize("shape", [(3, 4, 0), (0, 4, 3), (3, 0, 4)], ids=["n3=0", "n1=0", "n2=0"])
-@pytest.mark.parametrize("name", EMPTY_RESULTS)
+# while a zero n1 or n2 is an empty t-SVD with a defined result; the
+# internal idft_tubes checks nothing, and takes only spectra dft_tubes made
+@pytest.mark.parametrize("name, shape", [
+    pytest.param(name, shape, id=f"{name}-{sid}")
+    for name in EMPTY_RESULTS for sid, shape in EMPTY_SHAPES.items()
+    if not (name == "idft_tubes" and shape[2] == 0)
+])
 def test_shape_rule_on_empty_extents(name, shape):
     call, result = EMPTY_RESULTS[name]
     x = np.zeros(shape)
