@@ -34,19 +34,10 @@ the self-conjugate slices, DC and (for even ``n3``) Nyquist. Those two
 slices must be real for real output, so their imaginary part is the
 residue a full inverse DFT would show. A residue above
 ``IMAG_TOL * (1 + ||x||_F)`` is treated as an implementation bug and
-raises instead of being silently discarded. The same guard checks the
-largest imaginary part of the full inverse DFT in :func:`t_svt`.
+raises instead of being silently discarded.
 
-:func:`t_svt`, the solvers' hot kernel, shrinks each Fourier slice
-through the eigendecomposition of its Gram matrix instead of an SVD (its
-docstring states the accuracy this costs). It transforms the full
-spectrum through its internal pair :func:`dft_tubes` / :func:`idft_tubes`
-(not in ``__all__``) and shrinks it in place, ``SVT_BLOCK`` slices at a
-time, in one function, ``_gram_shrink``: the shrink's temporaries, not the
-transforms, set its working set. The half spectrum would halve its work,
-but waits for the benchmark to stop counting the outputs of the extra
-passes a faster solve fits into its fixed run as peak memory (ROADMAP
-item 1).
+:func:`t_svt`, the solvers' hot kernel, is the one function on the full
+spectrum; its docstring says how and why.
 """
 
 from __future__ import annotations
@@ -96,13 +87,13 @@ def _require_3way(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# t_svt's full-spectrum pair, on the tensor it has checked; module
+# functions so that perfbench's tracer can wrap them by name
 def dft_tubes(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT of every tube x(i, j, :)."""
-    return np.fft.fft(_require_3way(x), axis=2)
+    return np.fft.fft(x, axis=2)
 
 
 def idft_tubes(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft_tubes` on the spectrum it made (1/n_3 scaling); complex."""
     return np.fft.ifft(y, axis=2)
 
 
@@ -282,6 +273,13 @@ def t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     machine epsilon, ``sigma_max`` the largest Fourier singular value), so
     1e-12 or better for ``tau >= 1e-3 * sigma_max``. At ``tau = 0`` the
     result is ``z`` to rounding. An empty ``z`` (n1 or n2 zero) gives zeros.
+
+    Unlike the rest of the module, it transforms the full spectrum, all
+    ``n3`` Fourier slices, through ``dft_tubes`` and ``idft_tubes``, and
+    the residue guard checks the largest imaginary part of the inverse.
+    The half spectrum would halve its work, but waits for the benchmark to
+    stop counting the outputs of the extra passes a faster solve fits into
+    its fixed run as peak memory (ROADMAP item 1).
 
     One function, ``_gram_shrink``, shrinks ``SVT_BLOCK`` slices at a time,
     and each shrunk block is written back into the one spectrum buffer.

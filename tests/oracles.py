@@ -29,13 +29,12 @@ from hypothesis import strategies as st
 from wstnn import synth
 from wstnn.solvers import PENALTY_MAX, LrtcConfig, SolveReport, TrpcaConfig, _rel_change
 from wstnn.tensor_ops import (
-    frobenius_norm,
     mode_k1k2_fold,
     mode_k1k2_unfold,
     mode_pairs,
     vectorize,
 )
-from wstnn.tsvd import _check_residue, _svd, dft_tubes, idft_tubes, t_svt
+from wstnn.tsvd import t_svt
 
 
 def random_tensor(shape, seed=0):
@@ -138,13 +137,8 @@ def full_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
 def batched_t_svt(z: np.ndarray, tau: float) -> np.ndarray:
     """t-SVT with every Fourier slice in one batched SVD and one complex
     inverse DFT of the whole spectrum."""
-    zf = np.moveaxis(dft_tubes(z), 2, 0)
-    u, sig, vh = _svd(zf, full_matrices=False)
-    shrunk = np.maximum(sig - tau, 0.0)
-    out = (u * shrunk[:, None, :]) @ vh
-    y = idft_tubes(np.moveaxis(out, 0, 2))
-    _check_residue(float(np.abs(y.imag).max(initial=0.0)), frobenius_norm(z))
-    return np.ascontiguousarray(y.real)
+    u, sig, vh = np.linalg.svd(_full_spectrum(z), full_matrices=False)
+    return _real_inverse((u * np.maximum(sig - tau, 0.0)[:, None, :]) @ vh)
 
 
 def two_buffer_admm(x0, cfg, combine, start):

@@ -297,7 +297,6 @@ _MASK = synth.sample_mask((20, 20, 20), 0.5, 1)
 # every entry point that takes a tensor, called on one 20^3 tensor x; a
 # t_product takes x once on each side, so each operand is checked
 ELEMENT_ENTRY_POINTS = {
-    "dft_tubes": lambda x, _: tsvd.dft_tubes(x),
     "conj_transpose": lambda x, _: tsvd.conj_transpose(x),
     "t_product-left": lambda x, _: tsvd.t_product(x, tsvd.identity_tensor(20, 20)),
     "t_product-right": lambda x, _: tsvd.t_product(tsvd.identity_tensor(20, 20), x),
@@ -358,8 +357,3 @@ def test_element_rule_float64_input_is_not_copied():
 def test_element_rule_rejects_non_numeric_dtypes(dtype):
     with pytest.raises(ValueError, match="got dtype"):
         top._real_tensor(np.zeros((2, 2, 2), dtype=dtype))
-
-
-def test_idft_tubes_takes_a_complex_spectrum():
-    x = _rank2_integer_draw()
-    np.testing.assert_allclose(tsvd.idft_tubes(tsvd.dft_tubes(x)).real, x, atol=1e-12)

@@ -14,22 +14,6 @@ from wstnn.tensor_ops import frobenius_norm
 REL = 1e-12
 
 
-class TestDft:
-    def test_roundtrip(self):
-        x = random_tensor((3, 4, 5), 0)
-        back = tsvd.idft_tubes(tsvd.dft_tubes(x))
-        np.testing.assert_allclose(back.real, x, atol=1e-12)
-        assert np.abs(back.imag).max() < 1e-12
-
-    def test_first_slice_is_tube_sum(self):
-        x = random_tensor((2, 3, 4), 1)
-        np.testing.assert_allclose(tsvd.dft_tubes(x)[:, :, 0], x.sum(axis=2))
-
-    def test_requires_three_way(self):
-        with pytest.raises(ValueError):
-            tsvd.dft_tubes(np.zeros((2, 2)))
-
-
 def other_operand(x, shape):
     # a zero t-product operand of the given n1 x n2 shape that matches x's
     # slices, with one slice where x has none, so that only x breaks the rule
@@ -39,8 +23,6 @@ def other_operand(x, shape):
 # every entry point that takes a tensor, and its result on an empty
 # n1 x n2 x n3 input (arrays by their shapes)
 EMPTY_RESULTS = {
-    "dft_tubes": (tsvd.dft_tubes, lambda n1, n2, n3: (n1, n2, n3)),
-    "idft_tubes": (tsvd.idft_tubes, lambda n1, n2, n3: (n1, n2, n3)),
     "conj_transpose": (tsvd.conj_transpose, lambda n1, n2, n3: (n2, n1, n3)),
     "t_product-left": (lambda x: tsvd.t_product(x, other_operand(x, (x.shape[1], 2))),
                        lambda n1, n2, n3: (n1, 2, n3)),
@@ -64,12 +46,10 @@ EMPTY_SHAPES = {"n3=0": (3, 4, 0), "n1=0": (0, 4, 3), "n2=0": (3, 0, 4)}
 
 
 # the shape rule: no frontal slice is a ValueError that names the shape,
-# while a zero n1 or n2 is an empty t-SVD with a defined result; the
-# internal idft_tubes checks nothing, and takes only spectra dft_tubes made
+# while a zero n1 or n2 is an empty t-SVD with a defined result
 @pytest.mark.parametrize("name, shape", [
     pytest.param(name, shape, id=f"{name}-{sid}")
     for name in EMPTY_RESULTS for sid, shape in EMPTY_SHAPES.items()
-    if not (name == "idft_tubes" and shape[2] == 0)
 ])
 def test_shape_rule_on_empty_extents(name, shape):
     call, result = EMPTY_RESULTS[name]
@@ -188,7 +168,7 @@ class TestTSvd:
     def test_f_diagonal_and_ordered(self):
         x = random_tensor((5, 4, 3), 15)
         s = tsvd.t_svd(x).s
-        sf = tsvd.dft_tubes(s)
+        sf = np.fft.fft(s, axis=2)
         for i in range(3):
             slice_i = sf[:, :, i].copy()
             diag = np.diagonal(slice_i).real.copy()
@@ -381,7 +361,7 @@ class TestTnn:
         x = random_tensor((4, 5, 3), 21)
         s = tsvd.t_svd(x).s
         # tnn is the mean over slices of the Fourier-domain diagonal sums
-        sf = tsvd.dft_tubes(s)
+        sf = np.fft.fft(s, axis=2)
         total = sum(np.diagonal(sf[:, :, i]).real.sum() for i in range(3))
         assert tsvd.tnn(x) == pytest.approx(total / 3, rel=1e-10)
 
@@ -424,27 +404,29 @@ class TestTSvt:
             assert_rel_close(out, oracles.full_t_svt(z, tau))
             assert_rel_close(out, oracles.batched_t_svt(z, tau))
 
-    # one forward and one inverse tube DFT per call, through the module
-    # functions that perfbench/tracer.py wraps; 15x15x225 is a 15^4 unfolding
+    # one forward and one inverse tube DFT per call, full or half spectrum,
+    # counted at numpy's own entry points; 15x15x225 is a 15^4 unfolding
     @pytest.mark.parametrize("shape", [(15, 15, 225), (30, 30, 30), (20, 20, 20), (5, 4, 6)],
                              ids=["15x15x225", "30^3", "20^3", "5x4x6"])
     def test_one_dft_each_way(self, monkeypatch, shape):
-        calls = {"dft_tubes": 0, "idft_tubes": 0}
-        for name in calls:
-            def counted(x, fn=getattr(tsvd, name), name=name):
-                calls[name] += 1
-                return fn(x)
+        calls = {"forward": 0, "inverse": 0}
+        for name, way in [("fft", "forward"), ("rfft", "forward"),
+                          ("ifft", "inverse"), ("irfft", "inverse")]:
+            def counted(*args, fn=getattr(np.fft, name), way=way, **kwargs):
+                calls[way] += 1
+                return fn(*args, **kwargs)
 
-            monkeypatch.setattr(tsvd, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
         tsvd.t_svt(random_tensor(shape, 27), 1.0)
-        assert calls == {"dft_tubes": 1, "idft_tubes": 1}
+        assert calls == {"forward": 1, "inverse": 1}
 
     # on a 15^4 unfolding the forward tube DFT sets t_svt's peak: neither the
     # shrink blocks nor the one-call inverse may allocate more
     def test_peak_is_forward_dft(self):
         z = random_tensor((15, 15, 225), 28)
         tsvd.t_svt(z, 1.0)  # a first call's one-time allocations are not working set
-        assert traced_peak(tsvd.t_svt, z, 1.0) <= 1.01 * traced_peak(tsvd.dft_tubes, z)
+        assert traced_peak(tsvd.t_svt, z, 1.0) <= 1.01 * traced_peak(
+            lambda: np.fft.fft(z, axis=2))
 
     def test_shrinks_fourier_singular_values(self):
         x = random_tensor((4, 4, 4), 24)
@@ -535,18 +517,19 @@ class TestGramShrink:
 
     # an inf entry of z spreads over its whole tube, so it reaches block 0;
     # an inf in one Fourier slice of a later block must raise as well, on
-    # a tall slice and on the transposed path of a wide one
+    # a tall slice and on the transposed path of a wide one. The inf goes
+    # into whichever forward transform numpy runs; at n3 = 4 SVT_BLOCK,
+    # slice SVT_BLOCK + 1 lies in block 1 of the full and the half spectrum
     @pytest.mark.parametrize("shape", [(7, 3), (3, 7)], ids=["tall", "wide"])
     def test_inf_slice_in_later_block_raises(self, monkeypatch, shape):
-        dft = tsvd.dft_tubes
+        for name in ("fft", "rfft"):
+            def inf_slice(*args, fn=getattr(np.fft, name), **kwargs):
+                spectrum = fn(*args, **kwargs)
+                spectrum[1, 2, tsvd.SVT_BLOCK + 1] = np.inf
+                return spectrum
 
-        def inf_slice(x):
-            spectrum = dft(x)
-            spectrum[1, 2, tsvd.SVT_BLOCK + 1] = np.inf
-            return spectrum
-
-        monkeypatch.setattr(tsvd, "dft_tubes", inf_slice)
-        z = random_tensor((*shape, 2 * tsvd.SVT_BLOCK), 35)
+            monkeypatch.setattr(np.fft, name, inf_slice)
+        z = random_tensor((*shape, 4 * tsvd.SVT_BLOCK), 35)
         with pytest.raises(tsvd.NumericError, match="before the eigendecomposition"):
             tsvd.t_svt(z, 1.0)
 
