@@ -30,6 +30,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def validate_weights(alpha: np.ndarray, ndim: int) -> np.ndarray:
+    """``alpha`` as float64, or a ValueError unless it holds one finite,
+    nonnegative weight per mode pair of an order-``ndim`` tensor (its
+    length is ``ndim (ndim - 1) / 2``) and the weights sum to 1."""
     alpha = np.asarray(alpha, dtype=np.float64)
     n_pairs = len(mode_pairs(ndim))
     if alpha.shape != (n_pairs,):

@@ -120,6 +120,10 @@ class TrpcaConfig(_SolverConfig):
 
 @dataclass
 class SolveReport:
+    """How one :func:`lrtc_solve` or :func:`trpca_solve` run went: its
+    per-sweep relative changes, time, final constraint residual and whether
+    it converged."""
+
     rel_change_trace: list[float] = field(default_factory=list)
     #: seconds the solve took; not compared, so equal solves give equal reports
     wall_time: float = field(default=0.0, compare=False)

@@ -118,8 +118,11 @@ def sample_mask(
     shape: tuple[int, ...], sr: float, seed: int | np.random.SeedSequence = 0
 ) -> np.ndarray:
     """Boolean mask with exactly round(sr * numel) True entries, drawn
-    uniformly without replacement."""
+    uniformly without replacement. Any shape, an empty one included."""
     _check_sampling_rate(sr)
+    shape = tuple(shape)
+    if not all(_is_int(n) and n >= 0 for n in shape):
+        raise ValueError(f"extents must be nonnegative integers, got {shape}")
     numel = int(np.prod(shape, dtype=np.int64))
     n_obs = int(round(sr * numel))
     rng = np.random.default_rng(seed)

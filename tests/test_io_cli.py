@@ -13,6 +13,14 @@ from wstnn import cli, ntubal, solvers, synth, tensor_io
 from wstnn.synth import CpSpec, gen_cp_tensor
 
 
+# command lines that parse, completed by one failing setting per table row
+TSVD_OUT = ["--out-u", "u", "--out-s", "s", "--out-v", "v"]
+COMPLETE = ["complete", "--input", "x.ntb", "--sr", "0.6", "--out", "o"]
+RPCA = ["rpca", "--input", "x.ntb", "--out-low", "l", "--out-sparse", "s"]
+SWEEP = ["sweep", "--task", "complete", "--shape", "5,5,5", "--ranks", "1",
+         "--levels", "0.5", "--trials", "1", "--out", "s.csv"]
+
+
 def _config_block(out: str) -> dict:
     """The ``key = value`` lines of a run's resolved-configuration block."""
     lines = out.split(" resolved configuration:\n", 1)[1].splitlines()
@@ -210,8 +218,10 @@ class TestCli:
         ] + tau)
         assert rc == 0
         assert rse(tensor_io.read_tensor(low_p), truth) < 1e-3
-        residual = re.search(r"relative constraint residual (\S+),", capsys.readouterr().out)
-        assert float(residual.group(1)) < 1e-5
+        summary = capsys.readouterr().out.splitlines()[-1]
+        split = re.match(r"split in (\d+) iterations .*relative constraint residual (\S+),", summary)
+        assert split, summary
+        assert int(split[1]) > 2 and float(split[2]) < 1e-5
 
     # 'auto', the default, prints default_lambda of the resolved weights
     @pytest.mark.parametrize("argv, alpha", [
@@ -357,16 +367,6 @@ class TestCli:
         assert "cp_rank 20" in err and "(15, 15, 15)" in err
         assert not out.exists()
 
-    def test_sweep_rejects_negative_seed(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        assert cli.main([
-            "sweep", "--task", "complete", "--shape", "5,5,5", "--ranks", "1",
-            "--levels", "0.5", "--trials", "1", "--seed", "-1", "--out", str(out),
-        ]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: base_seed must be") and err.count("\n") == 1
-        assert not out.exists()
-
     def test_tsvd_factors_reconstruct(self, tmp_path):
         from wstnn.tsvd import conj_transpose, t_product
 
@@ -385,13 +385,6 @@ class TestCli:
         np.testing.assert_allclose(
             t_product(t_product(u, s), conj_transpose(v)), x, atol=1e-10
         )
-
-    def test_missing_input_fails_cleanly(self, tmp_path, capsys):
-        rc = cli.main([
-            "rank", "--input", str(tmp_path / "nope.ntb"),
-        ])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
 
     # the config's weight check rejects the length-3 spectral weights on a
     # four-way input before the solve writes anything
@@ -418,34 +411,46 @@ class TestCli:
         assert cli.main(base + ["--sr", "1.0"]) == 0
         assert "stopped at --max-iter" not in capsys.readouterr().out
 
-    # a non-finite entry or setting ends in one error line, not a traceback
-    @pytest.mark.parametrize("argv", [
-        ["tsvd", "--input", "nan.ntb", "--out-u", "u", "--out-s", "s", "--out-v", "v"],
-        ["tsvd", "--input", "inf.ntb", "--out-u", "u", "--out-s", "s", "--out-v", "v"],
-        ["rank", "--input", "inf.ntb"],
-        ["complete", "--input", "x.ntb", "--sr", "0.6", "--out", "o", "--tau", "nan"],
-        ["rpca", "--input", "x.ntb", "--out-low", "l", "--out-sparse", "s", "--lambda", "nan"],
-    ], ids=["tsvd-nan-entry", "tsvd-inf-entry", "rank-inf-entry", "complete-tau-nan",
-            "rpca-lambda-nan"])
-    def test_nonfinite_fails_with_error_line(self, tmp_path, monkeypatch, capsys, argv):
+    # a run that the library or a file operation rejects ends in exit 1 and
+    # one error line naming what failed: no traceback, no file written. Each
+    # row fails one check only (x.ntb passes every other, 5^3 every sweep one)
+    @pytest.mark.parametrize("argv, message", [
+        (["tsvd", "--input", "nan.ntb"] + TSVD_OUT, "non-finite value"),
+        (["tsvd", "--input", "inf.ntb"] + TSVD_OUT, "non-finite value"),
+        (["tsvd", "--input", "x4.ntb"] + TSVD_OUT, "three-way tensor"),
+        (["rank", "--input", "inf.ntb"], "non-finite value"),
+        (["rank", "--input", "nope.ntb"], "No such file"),
+        (["rank", "--input", "x.ntb", "--threshold", "1.5"], "rel_threshold"),
+        (COMPLETE + ["--tau", "nan"], "tau must be"),
+        (COMPLETE + ["--weights", "spectral", "--theta", "-1"], "theta must be"),
+        (COMPLETE + ["--weights", "rank-aware", "--eta", "inf"], "eta must be"),
+        (RPCA + ["--lambda", "nan"], "lam / rho"),
+        # rho = 1 / tau is subnormal at 1e308
+        (RPCA + ["--tau", "1e308"], "rho = 1 / tau"),
+        (["sweep", "--task", "complete", "--shape", "5,5", "--out", "s.csv"], "order >= 3"),
+        (SWEEP + ["--success-threshold", "nan"], "success_threshold"),
+        (SWEEP + ["--seed", "-1"], "base_seed must be"),
+    ], ids=["tsvd-nan-entry", "tsvd-inf-entry", "tsvd-4way", "rank-inf-entry",
+            "rank-missing-input", "rank-threshold", "complete-tau-nan",
+            "complete-theta-negative", "complete-eta-inf", "rpca-lambda-nan",
+            "rpca-tau-underflow", "sweep-2way-shape", "sweep-success-threshold-nan",
+            "sweep-negative-seed"])
+    def test_rejected_run_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                            argv, message):
         monkeypatch.chdir(tmp_path)
         x = np.random.default_rng(8).standard_normal((6, 5, 4))
         tensor_io.write_tensor("x.ntb", x)
+        tensor_io.write_tensor("x4.ntb", np.zeros((2, 2, 2, 2)))
         for name, value in (("nan.ntb", np.nan), ("inf.ntb", np.inf)):
             x[2, 1, 3] = value
             tensor_io.write_tensor(name, x)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
         with np.errstate(invalid="ignore"):
             assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-
-    def test_complete_requires_mask_xor_sr(self, tmp_path, capsys):
-        x = np.ones((5, 5, 5))
-        inp = tmp_path / "x.ntb"
-        tensor_io.write_tensor(inp, x)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["complete", "--input", str(inp), "--out", str(tmp_path / "o.ntb")])
-        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     # a malformed command line is argparse's usage error: exit 2, and the
     # message names the option

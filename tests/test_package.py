@@ -55,6 +55,10 @@ def test_import_loads_only_numpy_beyond_stdlib():
                          capture_output=True, text=True, check=True).stdout.split()
     assert "wstnn" in out and "numpy" in out
     assert [m for m in out if m not in sys.stdlib_module_names | {"numpy", "wstnn"}] == []
+    # phase_trials imports its process pool lazily: multiprocessing and
+    # concurrent.futures add about 0.4 MB to the peak RSS of every process
+    # that imports wstnn, and peak_rss_mb has the benchmark's tightest bound
+    assert {"multiprocessing", "concurrent"}.isdisjoint(out)
 
 
 def test_dft_pair_is_internal():

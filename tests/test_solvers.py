@@ -423,6 +423,16 @@ class TestTrpca:
         assert report.constraint_residual < cfg.rel_tol
         assert rse(low, truth) < 1e-6
 
+    def test_runs_on_at_the_penalty_cap(self):
+        # with no stop rule, rho reaches PENALTY_MAX after sweep 139 of the
+        # same x0.1 draw at the default tau; the solve runs on at the cap to
+        # p_max, and its split must still hold there
+        truth = 0.1 * gen_cp_tensor(CpSpec((20, 20, 20), 2, 0))
+        cfg = solvers.TrpcaConfig(rel_tol=0, p_max=160)
+        _, _, report = solvers.trpca_solve(add_salt_pepper(truth, 0.1, 1), cfg)
+        assert report.iterations == 160 and not report.converged
+        assert report.constraint_residual < 1e-4
+
     def test_stopping_is_scale_invariant(self):
         # the first sweep moves away from a zero iterate; its relative
         # change must not read as an absolute norm, which at data scale

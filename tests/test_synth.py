@@ -123,6 +123,17 @@ class TestSampleMask:
             with pytest.raises(ValueError):
                 synth.sample_mask((3, 3, 3), sr)
 
+    def test_empty_shape(self):
+        assert synth.sample_mask((3, 0, 3), 0.5).shape == (3, 0, 3)
+
+    # numpy alone raises its own TypeError on 2.5, "negative dimensions" on
+    # -1, and reads True as 1
+    @pytest.mark.parametrize("shape", [(2.5, 2, 2), (-1, 2, 3), (True, 2, 2)],
+                             ids=["float", "negative", "bool"])
+    def test_rejects_bad_extent(self, shape):
+        with pytest.raises(ValueError, match="extents must be nonnegative integers"):
+            synth.sample_mask(shape, 0.5)
+
 
 class TestSaltPepper:
     def test_corrupted_count_and_values(self):
